@@ -18,9 +18,12 @@ exactly as §4.3 requires.
 Fetch is the simulator's hottest path, so it mirrors the paper's thesis
 — resolve checks once, never re-walk tables downstream — with a
 **decoded-bundle cache**: the first fetch of a bundle walks the page
-table and decodes the three words; every later fetch of the same
-address is a dictionary hit.  The cache is invalidated exactly where
-the architecture invalidates translations and code:
+table, decodes the three words and compiles them into the node that
+issue executes (:func:`~repro.machine.cluster.compile_bundle`); every
+later fetch of the same address is a dictionary hit returning that
+node, for the per-cycle path and superblock traces alike.  The cache
+is invalidated exactly where the architecture invalidates translations
+and code:
 
 * any :meth:`~repro.mem.page_table.PageTable.unmap` (revocation,
   relocation, swap-out, segment free) flushes it through the page
@@ -46,7 +49,7 @@ from repro.core.constants import WORD_BYTES
 from repro.core.exceptions import FetchPending, PageFault, PermissionFault
 from repro.core.pointer import GuardedPointer
 from repro.core.word import TaggedWord
-from repro.machine.cluster import Cluster
+from repro.machine.cluster import NODE_BUNDLE, Cluster, compile_bundle
 from repro.machine.counters import PerfCounters
 from repro.machine.faults import FaultRecord
 from repro.machine.isa import BUNDLE_BYTES, OP_BYTES, SLOTS, Bundle
@@ -102,7 +105,7 @@ class ChipConfig:
     #: bulk accounting (see PERF.md §6).  Timing-model-transparent —
     #: cycle counts, counters and trace events are identical on or off;
     #: the fuzzer's superblock-on-vs-off axis polices that continuously.
-    #: Requires ``decode_cache`` (superblock nodes are decoded bundles).
+    #: Requires ``decode_cache`` (traces run the cache's compiled nodes).
     superblock: bool = True
     #: flight-recorder ring depth (events kept for crash dumps); purely
     #: observational — no architectural or timing effect
@@ -199,7 +202,7 @@ class MAPChip:
         #: multicomputer wiring (repro.machine.multicomputer): this
         #: node's id and the router that services non-local addresses
         self.node_id = 0
-        self.router = None
+        self.router = None  # set through attach_router
         # -- windowed-mesh state (unused off a mesh) -------------------
         #: remote-code mirror: vaddr -> (value, tag) for code words
         #: fetched from their home node, or None as a one-shot negative
@@ -216,19 +219,11 @@ class MAPChip:
         self._next_tid = 0
         self.now = 0
         # -- the decoded-bundle cache (see module docstring) ----------
-        #: fetch address -> (decoded Bundle, pointer word that passed
-        #: the fetch checks); flushed on any unmap
-        self._decode_cache: dict[int, tuple[Bundle, int]] = {}
+        #: fetch address -> {pointer word: compiled node} for the bundle
+        #: there, one node per word that passed the fetch checks;
+        #: flushed on any unmap
+        self._decode_cache: dict[int, dict[int, tuple]] = {}
         self._decode_enabled = c.decode_cache
-        # -- the superblock node cache (see Cluster.run_superblock) ----
-        #: fetch address -> prepared execution node for the decoded
-        #: bundle there: (pointer word, bundle, compiled int closure or
-        #: None, fp op or None, compiled mem closure or None,
-        #: fall-through IP or None, live ops).
-        #: Strictly a subset of ``_decode_cache`` — every invalidation
-        #: path that drops a decode entry drops the node too, so the
-        #: PERF.md §3 invalidation contract covers both caches at once.
-        self._sb_nodes: dict[int, tuple] = {}
         #: superblock telemetry (plain attributes, deliberately *not*
         #: PerfCounters: counter snapshots must be bit-identical with
         #: the knob on or off, so engine-utilization introspection lives
@@ -248,7 +243,7 @@ class MAPChip:
         self.fetch_hits = 0
         self.fetch_misses = 0
         self.decode_invalidations = 0
-        # -- the data-side access-check memos (see _exec_mem) ----------
+        # -- the data-side access-check memos (see cluster._mem_address)
         #: (pointer word value, offset) -> checked virtual address, one
         #: memo per access kind (loads need READ, stores need WRITE).
         #: Like the LEA memo, entries are pure functions of the
@@ -334,6 +329,13 @@ class MAPChip:
     def all_threads(self) -> list[Thread]:
         return [t for cl in self.clusters for t in cl.live_threads()]
 
+    def attach_router(self, router) -> None:
+        """Make this chip a mesh node serviced by ``router``.  Compiled
+        loads and stores bind their memory port by whether a router is
+        attached, so every decoded bundle is dropped here."""
+        self.router = router
+        self._flush_decoded_local()
+
     # -- the memory port used by the clusters ----------------------------
 
     def access_memory(self, vaddr: int, *, write: bool, now: int, value=None):
@@ -369,36 +371,42 @@ class MAPChip:
 
     # -- instruction fetch ---------------------------------------------------
 
-    def fetch(self, ip: GuardedPointer) -> Bundle:
-        """Fetch and decode the bundle at ``ip`` (functional path).
+    def fetch(self, ip: GuardedPointer) -> tuple:
+        """Fetch, decode and compile the bundle at ``ip`` (functional
+        path); returns its node (:func:`~repro.machine.cluster.compile_bundle`).
 
-        Steady state is one dictionary probe: decoded bundles are
-        cached by fetch address, and each entry remembers the exact
-        pointer word that last passed the fetch checks.  Permission and
-        bounds are pure functions of the pointer's bits, so a fetch
-        through the *same* word can skip them; a different pointer to
-        the same address (other bounds, other permission) re-runs the
-        checks before reusing the decoded words.  Translation is
-        re-walked whenever the cache cannot answer — so an unmapped
-        code page faults exactly as before.
+        Steady state is a probe by address, then by word: compiled
+        bundles are cached by fetch address, then by each pointer word
+        that passed the fetch checks there.  Permission and bounds are
+        pure functions of the pointer's bits, so a fetch through such a
+        word can skip them; a new pointer to the same address (other
+        bounds, other permission) runs the checks before reusing the
+        decoded words.  Translation is re-walked whenever the cache
+        cannot answer — so an unmapped code page faults exactly as
+        before.
         """
         word = ip.word.value
         address = word & _ADDRESS_MASK
-        entry = self._decode_cache.get(address)
-        if entry is not None and entry[1] == word:
-            self.fetch_hits += 1
-            return entry[0]
+        nodes = self._decode_cache.get(address)
+        if nodes is not None:
+            node = nodes.get(word)
+            if node is not None:
+                self.fetch_hits += 1
+                return node
         if not ip.permission.is_execute:
             raise PermissionFault("instruction pointer is not an execute pointer")
         if not (ip.contains(address)
                 and ip.contains(address + BUNDLE_BYTES - OP_BYTES)):
             raise PermissionFault("bundle extends past the code segment")
-        if entry is not None:
-            # a different pointer to an already-decoded address: checks
-            # passed, adopt this word and reuse the bundle (no re-walk)
+        if nodes is not None:
+            # a new pointer to an already-decoded address: checks
+            # passed, so reuse the decoded bundle (no re-walk) and
+            # compile it for this word, whose branch targets and
+            # fall-through differ
             self.fetch_hits += 1
-            self._decode_cache[address] = (entry[0], word)
-            return entry[0]
+            bundle = next(iter(nodes.values()))[NODE_BUNDLE]
+            node = nodes[word] = compile_bundle(self, bundle, ip)
+            return node
         self.fetch_misses += 1
         router = self.router
         if router is not None:
@@ -432,10 +440,10 @@ class MAPChip:
             else:
                 physical = self.page_table.walk(vaddr)
                 words.append(self.memory.load_word(physical))
-        bundle = Bundle.decode(words)
+        node = compile_bundle(self, Bundle.decode(words), ip)
         if self._decode_enabled:
-            self._decode_cache[address] = (bundle, word)
-        return bundle
+            self._decode_cache[address] = {word: node}
+        return node
 
     # -- decoded-bundle invalidation ----------------------------------------
 
@@ -450,7 +458,6 @@ class MAPChip:
         if self._decode_cache:
             self.decode_invalidations += len(self._decode_cache)
             self._decode_cache.clear()
-        self._sb_nodes.clear()
 
     def flush_decoded(self) -> None:
         """Drop every decoded bundle — on every node, when meshed (this
@@ -488,11 +495,9 @@ class MAPChip:
         if not cache:
             return
         word = vaddr - (vaddr % OP_BYTES)
-        nodes = self._sb_nodes
         for start in (word, word - OP_BYTES, word - 2 * OP_BYTES):
             if cache.pop(start, None) is not None:
                 self.decode_invalidations += 1
-                nodes.pop(start, None)
 
     def invalidate_decoded_range(self, base: int, nbytes: int) -> None:
         """Drop every cached bundle overlapping ``[base, base+nbytes)``
@@ -512,10 +517,8 @@ class MAPChip:
         lo = base - (BUNDLE_BYTES - OP_BYTES)
         hi = base + nbytes
         stale = [a for a in cache if lo <= a < hi]
-        nodes = self._sb_nodes
         for address in stale:
             del cache[address]
-            nodes.pop(address, None)
         self.decode_invalidations += len(stale)
 
     # -- fault plumbing ------------------------------------------------------
@@ -653,7 +656,7 @@ class MAPChip:
         start_bundles = self.stats.issued_bundles
         idle_streak = 0
         fast_forward = self.config.idle_fast_forward
-        # superblocks need the decode cache (nodes are decoded bundles)
+        # superblocks need the decode cache (they run its nodes)
         # and a single node: a mesh runs in lockstep through step(), and
         # remote writes may invalidate code between any two cycles
         turbo = (self.config.superblock and self._decode_enabled

@@ -16,6 +16,10 @@ operation in it passes its checks, so a faulted bundle can simply be
 re-executed after the kernel repairs the cause.  Operations are
 evaluated int → fp → mem, with the memory access — the only operation
 with a side effect beyond registers — performed last.
+
+Each opcode's semantics are written once, as the closure its compile
+function builds when a bundle is decoded (:func:`compile_bundle`); the
+per-cycle path and superblock traces both run those closures.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ import math
 from typing import TYPE_CHECKING
 
 from repro.core import operations as ops
-from repro.core.constants import ADDRESS_MASK as _SB_ADDRESS_MASK
-from repro.core.constants import WORD_MASK as _SB_WORD_MASK
+from repro.core.constants import ADDRESS_MASK as _ADDRESS_MASK
+from repro.core.constants import WORD_MASK as _WORD_MASK
 from repro.core.exceptions import (
     FetchPending,
     GuardedPointerFault,
@@ -280,34 +284,18 @@ class Cluster:
 
     # -- bundle execution ----------------------------------------------------
 
-    def _lea(self, word: TaggedWord, offset: int):
-        """LEA through the chip's derivation memo.
-
-        ``ops.lea`` is a pure function of the pointer's bits and the
-        offset — the same (word, offset) pair always yields the same
-        (immutable) pointer, independent of any page-table or memory
-        state — so successful derivations are memoized chip-wide.  IP
-        advance, branch targets and load/store address arithmetic all
-        come through here.  Faulting derivations are never cached, and
-        untagged words bypass the memo (a pointer and an integer can
-        share a bit pattern).
-        """
-        cache = self.chip._lea_cache
-        if cache is None or not word.tag:
-            return ops.lea(word, offset)
-        key = (word.value, offset)
-        ptr = cache.get(key)
-        if ptr is None:
-            ptr = ops.lea(word, offset)
-            cache[key] = ptr
-        return ptr
-
     def _execute_bundle(self, thread: Thread, now: int) -> bool:
         """Execute one bundle; returns True when the bundle issued (a
         faulting bundle issues too), False when the fetch is stalled on
-        remote code words and nothing happened this cycle."""
+        remote code words and nothing happened this cycle.
+
+        The fetch returns the bundle's compiled node (see
+        :func:`compile_bundle`), so
+        issue is a call per live slot — int, fp, then mem, the memory
+        access last — with no opcode dispatch left to do."""
+        chip = self.chip
         try:
-            bundle = self.chip.fetch(thread.ip)
+            node = chip.fetch(thread.ip)
         except FetchPending as pend:
             # remote code words were requested at the window barrier;
             # the thread blocks until they land and the fetch retries
@@ -316,66 +304,61 @@ class Cluster:
         except Exception as cause:  # decode/translation failure at fetch
             self._fault(thread, cause, "fetch", now)
             return True
+        bundle, int_fn, fp_fn, mem_fn, next_ip, live_ops, _ = node
 
-        obs = self.chip.obs
+        obs = chip.obs
         if obs.hot:
             obs.emit("bundle", now, cluster=self.cluster_id, tid=thread.tid,
                      address=thread.ip.address, priv=thread.privileged,
                      text=disassemble_bundle(bundle))
 
+        regs = thread.regs
         commits: list[tuple[str, int, object]] = []
-        branch_target: GuardedPointer | None = None
-        halted = False
-        block_until: int | None = None
-        pending: list[tuple[str, int, object]] = []
-
+        target = None
+        block_until = None
+        pending = ()
         try:
-            target = self._exec_int(thread, bundle.int_op, commits, now)
-            if target is _Halt:
-                halted = True
-            elif target is not None:
-                branch_target = target
-            self._exec_fp(thread, bundle.fp_op, commits)
-            block_until, pending = self._exec_mem(thread, bundle.mem_op, commits, now)
+            if int_fn is not None:
+                target = int_fn(thread, regs, commits, now)
+            if fp_fn is not None:
+                fp_fn(thread, regs, commits, now)
+            if mem_fn is not None:
+                block_until, pending = mem_fn(thread, regs, commits, now)
         except GuardedPointerFault as cause:
             self._fault(thread, cause, self._fault_site(bundle, cause), now)
             return True
 
         # Commit phase: nothing above faulted.
-        for bank, index, value in commits:
-            if bank == "r":
-                thread.regs.write(index, value)
-            else:
-                thread.regs.write_f(index, value)
+        if commits:
+            regs.commit(commits)
 
-        thread.stats.bundles += 1
-        thread.stats.operations += bundle.live_ops
+        stats = thread.stats
+        stats.bundles += 1
+        stats.operations += live_ops
 
-        if halted:
+        if target is _Halt:
             # a halting bundle still commits everything it did — a
             # blocking load sharing the bundle with HALT must land its
             # register write before the thread's state goes final
-            for bank, index, value in pending:
-                if bank == "r":
-                    thread.regs.write(index, value)
-                else:
-                    thread.regs.write_f(index, value)
+            regs.commit(pending)
             thread.state = ThreadState.HALTED
             thread.halted_at = now
             if obs.enabled:
                 obs.emit("thread.halt", now, cluster=self.cluster_id,
-                         tid=thread.tid, bundles=thread.stats.bundles)
+                         tid=thread.tid, bundles=stats.bundles)
             return True
 
-        try:
-            if branch_target is not None:
-                thread.ip = branch_target
-            else:
-                thread.ip = self._lea(thread.ip.word, BUNDLE_BYTES)
-        except GuardedPointerFault as cause:
-            # running off the end of the code segment
-            self._fault(thread, cause, "ip-advance", now)
-            return True
+        if target is not None:
+            thread.ip = target
+        elif next_ip is not None:
+            thread.ip = next_ip
+        else:
+            try:
+                thread.ip = _lea(chip, thread.ip.word, BUNDLE_BYTES)
+            except GuardedPointerFault as cause:
+                # running off the end of the code segment
+                self._fault(thread, cause, "ip-advance", now)
+                return True
 
         if block_until == REMOTE_WAIT:
             # remote load: the true reply cycle is computed at the next
@@ -385,208 +368,13 @@ class Cluster:
             thread.block_until(REMOTE_WAIT)
         elif block_until is not None and block_until > now + 1:
             thread.pending_writes.extend(pending)
-            thread.stats.stall_cycles += block_until - (now + 1)
+            stats.stall_cycles += block_until - (now + 1)
             thread.block_until(block_until)
-        else:
-            for bank, index, value in pending:
-                if bank == "r":
-                    thread.regs.write(index, value)
-                else:
-                    thread.regs.write_f(index, value)
+        elif pending:
+            regs.commit(pending)
         return True
 
     # -- superblock execution ------------------------------------------------
-
-    def _sb_node(self, address: int, word: int, ip: "GuardedPointer"):
-        """Build (or refuse) a superblock node for the bundle at
-        ``address`` as fetched through pointer ``word``.
-
-        A node is a pre-picked execution plan for one decoded bundle:
-        NOP slots resolved to ``None`` (the units early-out on fillers
-        with zero side effects, so skipping the call is behaviorally
-        identical), plus the memoized fall-through IP.  HALT and TRAP
-        bundles refuse a node — their handling (final thread state,
-        halt events, trap dispatch) belongs to the per-cycle path, and
-        both end the straight line anyway.  The node remembers the
-        exact pointer word it was built through, mirroring the decoded
-        bundle's word check: a different pointer to the same address
-        re-validates through the normal fetch path.
-        """
-        entry = self.chip._decode_cache.get(address)
-        if entry is None or entry[1] != word:
-            return None
-        bundle = entry[0]
-        int_op = bundle.int_op
-        code = int_op.opcode
-        if code is Opcode.NOP:
-            int_fn = None
-        elif code is Opcode.HALT or code is Opcode.TRAP:
-            return None
-        else:
-            int_fn = self._sb_compile_int(int_op, ip)
-        fp_op = bundle.fp_op
-        if fp_op.opcode is Opcode.FNOP or fp_op.opcode is Opcode.NOP:
-            fp_op = None
-        mem_op = bundle.mem_op
-        if mem_op.opcode is Opcode.NOP or mem_op.opcode is Opcode.FNOP:
-            mem_fn = None
-        else:
-            mem_fn = self._sb_compile_mem(mem_op)
-        try:
-            next_ip = self._lea(ip.word, BUNDLE_BYTES)
-        except GuardedPointerFault:
-            # fall-through runs off the code segment; the executor
-            # re-derives live so the fault raises exactly as stepping
-            next_ip = None
-        node = (word, bundle, int_fn, fp_op, mem_fn, next_ip,
-                bundle.live_ops)
-        self.chip._sb_nodes[address] = node
-        return node
-
-    def _sb_compile_int(self, op: Operation, ip: "GuardedPointer"):
-        """Compile an integer-slot op into a node closure.
-
-        The trace-cache idiom: everything that is a pure function of
-        the operation encoding and the bundle's (fixed) fetch address —
-        ALU immediates, branch targets, MOVI's word — resolves once at
-        node-build time, so executing the node spends no cycles
-        re-deciding what the op *is*.  Branch targets come through the
-        same LEA memo the per-cycle path uses (pure, so pre-deriving is
-        invisible); a target whose derivation faults falls back to the
-        unit so the fault raises only when the branch is actually taken,
-        exactly as stepping.  Ops with side effects beyond registers
-        and branches (JMP's audit/trace hooks, traps) always fall back
-        to the integer unit itself.
-        """
-        code = op.opcode
-        # the hot ALU closures build TaggedWords the way the frozen
-        # dataclass's own __init__ does (object.__setattr__), skipping
-        # three Python calls per op; ``.untagged().value`` collapses to
-        # ``.value`` (untagging never changes the bits)
-        new = TaggedWord.__new__
-        setattr_ = object.__setattr__
-        if code in _INT_ALU_IMM:
-            fn = _INT_ALU[_INT_ALU_IMM[code]]
-            b = op.imm & _SB_WORD_MASK
-            ra, rd = op.ra, op.rd
-
-            def run(thread, regs, commits, now):
-                word = new(TaggedWord)
-                setattr_(word, "value",
-                         fn(regs.read(ra).value, b) & _SB_WORD_MASK)
-                setattr_(word, "tag", False)
-                commits.append(("r", rd, word))
-                return None
-            return run
-        if code in _INT_ALU:
-            fn = _INT_ALU[code]
-            ra, rb, rd = op.ra, op.rb, op.rd
-
-            def run(thread, regs, commits, now):
-                word = new(TaggedWord)
-                setattr_(word, "value",
-                         fn(regs.read(ra).value,
-                            regs.read(rb).value) & _SB_WORD_MASK)
-                setattr_(word, "tag", False)
-                commits.append(("r", rd, word))
-                return None
-            return run
-        if code is Opcode.MOVI:
-            word = TaggedWord.integer(op.imm)
-            rd = op.rd
-
-            def run(thread, regs, commits, now):
-                commits.append(("r", rd, word))
-                return None
-            return run
-        if code is Opcode.BEQ or code is Opcode.BNE:
-            target = self._sb_branch_target(ip, op.imm)
-            if target is not None:
-                rd = op.rd
-                want_zero = code is Opcode.BEQ
-
-                def run(thread, regs, commits, now):
-                    value = regs.read(rd).value
-                    taken = (value == 0) if want_zero else (value != 0)
-                    return target if taken else None
-                return run
-        elif code is Opcode.BR:
-            target = self._sb_branch_target(ip, op.imm)
-            if target is not None:
-                def run(thread, regs, commits, now):
-                    return target
-                return run
-        exec_int = self._exec_int
-
-        def run(thread, regs, commits, now):
-            return exec_int(thread, op, commits, now)
-        return run
-
-    def _sb_branch_target(self, ip: "GuardedPointer", imm: int):
-        """Pre-derive a branch target at node-build time, or None when
-        the derivation faults (then the op falls back to the unit, so
-        the fault raises only on a taken branch, as stepping would)."""
-        try:
-            return self._lea(ip.word, imm)
-        except GuardedPointerFault:
-            return None
-
-    def _sb_compile_mem(self, op: Operation):
-        """Compile a memory-slot op into a node closure returning
-        ``(block_until, pending_writes)`` — :meth:`_exec_mem`'s
-        contract with its opcode dispatch pre-resolved.
-
-        Loads and stores keep the exact per-execution path — the
-        access-check memo, the banked cache's timing, the load-to-use
-        histogram, the store's decoded-bundle invalidation — but bind
-        the local cache port directly: superblocks only ever dispatch
-        on an un-meshed chip (``router is None``), so
-        :meth:`MAPChip.access_memory`'s routing branch is a proven
-        no-op here.  Everything else falls back to the memory unit.
-        """
-        code = op.opcode
-        chip = self.chip
-        if code is Opcode.LD or code is Opcode.LDF:
-            mem_address = self._mem_address
-            cache_access = chip.cache.access
-            obs = chip.obs
-            load_to_use = obs.load_to_use.add
-            ra, rd, imm = op.ra, op.rd, op.imm
-            is_ld = code is Opcode.LD
-
-            def run(thread, regs, commits, now):
-                vaddr = mem_address(regs.read(ra), imm, write=False)
-                result = cache_access(vaddr, write=False, now=now)
-                if obs.enabled:
-                    load_to_use(result.ready_cycle - now)
-                if is_ld:
-                    write = ("r", rd, result.word)
-                else:
-                    write = ("f", rd, word_to_float(result.word))
-                return result.ready_cycle, (write,)
-            return run
-        if code is Opcode.ST or code is Opcode.STF:
-            mem_address = self._mem_address
-            cache_access = chip.cache.access
-            invalidate = chip.invalidate_decoded_word
-            ra, rd, imm = op.ra, op.rd, op.imm
-            is_st = code is Opcode.ST
-
-            def run(thread, regs, commits, now):
-                vaddr = mem_address(regs.read(ra), imm, write=True)
-                if is_st:
-                    value = regs.read(rd)
-                else:
-                    value = float_to_word(regs.read_f(rd))
-                invalidate(vaddr)
-                cache_access(vaddr, write=True, now=now, value=value)
-                return None, ()
-            return run
-        exec_mem = self._exec_mem
-
-        def run(thread, regs, commits, now):
-            return exec_mem(thread, op, commits, now)
-        return run
 
     def run_superblock(self, thread: Thread, start: int, end: int) -> int:
         """Execute ``thread``'s straight-line bundles for cycles
@@ -595,33 +383,39 @@ class Cluster:
         The chip has proven (in :meth:`MAPChip._run_superblock`) that
         nothing else can act before ``end``, so this loop is exactly
         the per-cycle path with the invariant parts hoisted: scheduling
-        collapses to "this thread again", fetch collapses to a node
-        probe, and cycle/issue/idle accounting is settled in bulk at
-        exit.  Everything with an architectural or observable effect —
-        the execution units, guarded-pointer checks, cache timing, the
-        check memos, histograms, fault dispatch — runs live through the
-        same code stepping uses, so cycle counts, counters and trace
-        events are bit-identical to the knob being off.  Any bundle the
-        node cache cannot answer (not decoded yet, self-modified,
-        HALT/TRAP) exits the superblock and the normal path handles it.
+        collapses to "this thread again", fetch collapses to a probe of
+        the decoded-bundle cache, and cycle/issue/idle accounting is
+        settled in bulk at exit.  Each bundle runs the same compiled
+        node closures :meth:`_execute_bundle` runs —
+        execution units, guarded-pointer checks, cache timing, the
+        check memos, histograms, fault dispatch — so cycle counts,
+        counters and trace events are bit-identical to the knob being
+        off.  Any bundle the cache cannot answer (not decoded yet,
+        self-modified, reached through a pointer word that has not
+        passed the fetch checks, HALT/TRAP) exits the superblock and the
+        normal path handles it.
         """
         chip = self.chip
-        nodes = chip._sb_nodes
+        cache = chip._decode_cache
         regs = thread.regs
         commits: list[tuple[str, int, object]] = []
         bundles = 0   # committed bundles (a faulting one commits nothing)
-        ops = 0
+        operations = 0
         now = start
         ip = thread.ip
         while True:
             word = ip.word.value
-            address = word & _SB_ADDRESS_MASK
-            node = nodes.get(address)
-            if node is None or node[0] != word:
-                node = self._sb_node(address, word, ip)
-                if node is None:
-                    break
-            _, bundle, int_fn, fp_op, mem_fn, next_ip, live = node
+            nodes = cache.get(word & _ADDRESS_MASK)
+            if nodes is None:
+                break
+            node = nodes.get(word)
+            if node is None:
+                # decoded through other pointer words only: this one
+                # has not passed the fetch checks
+                break
+            bundle, int_fn, fp_fn, mem_fn, next_ip, live, ends = node
+            if ends:
+                break
             commits.clear()
             branch_target = None
             block_until = None
@@ -629,8 +423,8 @@ class Cluster:
             try:
                 if int_fn is not None:
                     branch_target = int_fn(thread, regs, commits, now)
-                if fp_op is not None:
-                    self._exec_fp(thread, fp_op, commits)
+                if fp_fn is not None:
+                    fp_fn(thread, regs, commits, now)
                 if mem_fn is not None:
                     block_until, pending = mem_fn(thread, regs, commits, now)
             except GuardedPointerFault as cause:
@@ -640,49 +434,42 @@ class Cluster:
                 chip.now = now
                 self._fault(thread, cause,
                             self._fault_site(bundle, cause), now)
-                self._sb_exit(thread, bundles, ops, start, now + 1)
+                self._sb_exit(thread, bundles, operations, start, now + 1)
                 return now + 1 - start
-            for bank, index, value in commits:
-                if bank == "r":
-                    regs.write(index, value)
-                else:
-                    regs.write_f(index, value)
+            if commits:
+                regs.commit(commits)
             bundles += 1
-            ops += live
+            operations += live
             if branch_target is not None:
                 thread.ip = ip = branch_target
             elif next_ip is not None:
                 thread.ip = ip = next_ip
             else:
-                # fall-through derivation faulted at node-build time;
-                # re-derive live (pure, so it faults again identically)
+                # the fall-through leaves the code segment; re-derive
+                # live (pure, so it faults again identically)
                 chip.now = now
                 try:
-                    self._lea(ip.word, BUNDLE_BYTES)
+                    _lea(chip, ip.word, BUNDLE_BYTES)
                 except GuardedPointerFault as cause:
                     self._fault(thread, cause, "ip-advance", now)
-                self._sb_exit(thread, bundles, ops, start, now + 1)
+                self._sb_exit(thread, bundles, operations, start, now + 1)
                 return now + 1 - start
             if block_until is not None and block_until > now + 1:
                 thread.pending_writes.extend(pending)
                 thread.stats.stall_cycles += block_until - (now + 1)
-                self._sb_exit(thread, bundles, ops, start, now + 1)
+                self._sb_exit(thread, bundles, operations, start, now + 1)
                 thread.block_until(block_until)
                 return now + 1 - start
             if pending:
-                for bank, index, value in pending:
-                    if bank == "r":
-                        regs.write(index, value)
-                    else:
-                        regs.write_f(index, value)
+                regs.commit(pending)
             now += 1
             if now >= end:
                 break
         if now > start:
-            self._sb_exit(thread, bundles, ops, start, now)
+            self._sb_exit(thread, bundles, operations, start, now)
         return now - start
 
-    def _sb_exit(self, thread: Thread, bundles: int, ops: int,
+    def _sb_exit(self, thread: Thread, bundles: int, operations: int,
                  start: int, end: int) -> None:
         """Settle the bulk accounting for a superblock spanning cycles
         ``[start, end)`` — every total a per-cycle run would have
@@ -707,189 +494,7 @@ class Cluster:
             if cl is not self:
                 cl.idle_cycles += n
         thread.stats.bundles += bundles
-        thread.stats.operations += ops
-
-    # -- the integer unit ------------------------------------------------------
-
-    def _exec_int(self, thread: Thread, op: Operation, commits: list,
-                  now: int):
-        """Returns a branch-target pointer, the _Halt sentinel, or None."""
-        code = op.opcode
-        regs = thread.regs
-        if code is Opcode.NOP:
-            return None
-        if code is Opcode.HALT:
-            return _Halt
-        if code is Opcode.TRAP:
-            raise TrapFault(op.imm)
-        if code in _INT_ALU:
-            a = regs.read(op.ra).untagged().value
-            b = regs.read(op.rb).untagged().value
-            commits.append(("r", op.rd, TaggedWord.integer(_INT_ALU[code](a, b))))
-            return None
-        if code in _INT_ALU_IMM:
-            a = regs.read(op.ra).untagged().value
-            b = op.imm & ((1 << 64) - 1)
-            fn = _INT_ALU[_INT_ALU_IMM[code]]
-            commits.append(("r", op.rd, TaggedWord.integer(fn(a, b))))
-            return None
-        if code is Opcode.MOVI:
-            commits.append(("r", op.rd, TaggedWord.integer(op.imm)))
-            return None
-        if code is Opcode.MOV:
-            # MOV preserves the tag: copying a pointer yields the pointer.
-            commits.append(("r", op.rd, regs.read(op.ra)))
-            return None
-        if code is Opcode.ISPTR:
-            commits.append(("r", op.rd, ops.ispointer(regs.read(op.ra))))
-            return None
-        if code is Opcode.GETIP:
-            commits.append(("r", op.rd, self._lea(thread.ip.word, op.imm).word))
-            return None
-        if code is Opcode.BR:
-            return self._lea(thread.ip.word, op.imm)
-        if code in (Opcode.BEQ, Opcode.BNE):
-            value = regs.read(op.rd).untagged().value
-            taken = (value == 0) if code is Opcode.BEQ else (value != 0)
-            return self._lea(thread.ip.word, op.imm) if taken else None
-        if code is Opcode.JMP:
-            target_word = regs.read(op.ra)
-            new_ip = ops.check_jump(target_word, thread.privileged)
-            auditor = self.chip.jump_auditor
-            if auditor is not None:
-                auditor(thread, GuardedPointer.from_word(target_word),
-                        new_ip, now)
-            obs = self.chip.obs
-            if obs.enabled:
-                obs.note_jump(thread, target_word, new_ip, now,
-                              cluster=self.cluster_id)
-            return new_ip
-        raise AssertionError(f"unhandled integer op {code.name}")
-
-    # -- the floating-point unit -------------------------------------------------
-
-    def _exec_fp(self, thread: Thread, op: Operation, commits: list) -> None:
-        code = op.opcode
-        regs = thread.regs
-        if code in (Opcode.FNOP, Opcode.NOP):
-            return
-        if code in _FP_ALU:
-            result = _FP_ALU[code](regs.read_f(op.ra), regs.read_f(op.rb))
-            commits.append(("f", op.rd, result))
-            return
-        if code is Opcode.FMOV:
-            commits.append(("f", op.rd, regs.read_f(op.ra)))
-            return
-        if code is Opcode.ITOF:
-            commits.append(("f", op.rd, float(regs.read(op.ra).as_signed())))
-            return
-        if code is Opcode.FTOI:
-            commits.append(("r", op.rd,
-                            TaggedWord.integer(saturating_ftoi(regs.read_f(op.ra)))))
-            return
-        raise AssertionError(f"unhandled fp op {code.name}")
-
-    # -- the memory unit ------------------------------------------------------
-
-    def _mem_address(self, word: TaggedWord, offset: int, *, write: bool) -> int:
-        """The checked virtual address of a load/store, through the
-        chip's access-check memo.
-
-        The whole derivation — LEA bounds, tag check, READ/WRITE
-        permission — is a pure function of (pointer bits, offset): none
-        of it consults the page table or memory.  So once a (word,
-        offset) pair has passed, a later access through the *same*
-        pointer word is a single dictionary probe; that is the paper's
-        thesis applied to the data path (checks resolve once, nothing
-        downstream re-walks).  A different pointer word — even to the
-        same address — takes the full check path.  Faulting derivations
-        are never cached, and untagged words bypass the memo (a pointer
-        and an integer can share a bit pattern).
-        """
-        chip = self.chip
-        memo = chip._store_check_memo if write else chip._load_check_memo
-        if memo is None or not word.tag:
-            ptr = self._lea(word, offset)
-            (ops.check_store if write else ops.check_load)(ptr.word)
-            return ptr.address
-        key = (word.value, offset)
-        vaddr = memo.get(key)
-        if vaddr is not None:
-            chip.check_memo_hits += 1
-            return vaddr
-        ptr = self._lea(word, offset)
-        (ops.check_store if write else ops.check_load)(ptr.word)
-        chip.check_memo_misses += 1
-        memo[key] = ptr.address
-        return ptr.address
-
-    def _exec_mem(self, thread: Thread, op: Operation, commits: list, now: int):
-        """Returns (block_until, pending_writes)."""
-        code = op.opcode
-        regs = thread.regs
-        no_block = (None, [])
-        if code in (Opcode.NOP, Opcode.FNOP):
-            return no_block
-
-        if code is Opcode.LD or code is Opcode.LDF:
-            vaddr = self._mem_address(regs.read(op.ra), op.imm, write=False)
-            result = self.chip.access_memory(vaddr, write=False, now=now)
-            if result.ready_cycle == REMOTE_WAIT:
-                # remote load: the window barrier resolves the value and
-                # the true latency (the histogram is charged then too)
-                self.chip.router.bind_remote_load(
-                    self.chip, thread.tid,
-                    "r" if code is Opcode.LD else "f", op.rd)
-                return REMOTE_WAIT, []
-            obs = self.chip.obs
-            if obs.enabled:
-                obs.load_to_use.add(result.ready_cycle - now)
-            if code is Opcode.LD:
-                write = ("r", op.rd, result.word)
-            else:
-                write = ("f", op.rd, word_to_float(result.word))
-            return result.ready_cycle, [write]
-
-        if code is Opcode.ST or code is Opcode.STF:
-            vaddr = self._mem_address(regs.read(op.ra), op.imm, write=True)
-            if code is Opcode.ST:
-                value = regs.read(op.rd)
-            else:
-                value = float_to_word(regs.read_f(op.rd))
-            self.chip.access_memory(vaddr, write=True, now=now, value=value)
-            return no_block  # stores are buffered; the thread proceeds
-
-        if code is Opcode.LEA:
-            commits.append(("r", op.rd, self._lea(regs.read(op.ra), op.imm).word))
-            return no_block
-        if code is Opcode.LEAR:
-            offset = to_s64(regs.read(op.rb).untagged().value)
-            commits.append(("r", op.rd, self._lea(regs.read(op.ra), offset).word))
-            return no_block
-        if code is Opcode.LEAB:
-            commits.append(("r", op.rd, ops.leab(regs.read(op.ra), op.imm).word))
-            return no_block
-        if code is Opcode.LEABR:
-            offset = to_s64(regs.read(op.rb).untagged().value)
-            commits.append(("r", op.rd, ops.leab(regs.read(op.ra), offset).word))
-            return no_block
-        if code is Opcode.SETPTR:
-            forged = ops.setptr(regs.read(op.ra), privileged=thread.privileged)
-            commits.append(("r", op.rd, forged.word))
-            return no_block
-        if code is Opcode.RESTRICT:
-            perm_code = regs.read(op.rb).untagged().value
-            try:
-                perm = Permission(perm_code)
-            except ValueError:
-                raise RestrictFault(f"not a permission code: {perm_code}") from None
-            commits.append(("r", op.rd, ops.restrict(regs.read(op.ra), perm).word))
-            return no_block
-        if code is Opcode.SUBSEG:
-            length = regs.read(op.rb).untagged().value
-            commits.append(("r", op.rd, ops.subseg(regs.read(op.ra), length).word))
-            return no_block
-        raise AssertionError(f"unhandled memory op {code.name}")
+        thread.stats.operations += operations
 
     # -- fault plumbing ------------------------------------------------------
 
@@ -914,3 +519,360 @@ class Cluster:
         )
         thread.record_fault(record)
         self.chip.report_fault(record, thread)
+
+
+# -- compiled bundles: one definition per opcode ---------------------------
+
+
+#: A bundle node: one decoded bundle compiled for issue through one
+#: pointer word.  The decoded-bundle cache maps each fetch address to
+#: its nodes by pointer word (:meth:`MAPChip.fetch`), and the per-cycle
+#: path and superblock traces both execute them (PERF.md §6).  Nodes
+#: are plain tuples because both executors unpack one every cycle, and
+#: CPython unpacks an exact tuple fastest (a NamedTuple subclass
+#: measured ~7% slower on an ALU trace).  The fields, in order:
+#:
+#: * ``bundle`` — the decoded :class:`~repro.machine.isa.Bundle`;
+#: * ``int_fn``, ``fp_fn``, ``mem_fn`` — one closure per live slot,
+#:   ``fn(thread, regs, commits, now)``, or ``None`` for a NOP slot (a
+#:   filler has no effect, so skipping the call is behaviorally
+#:   identical).  The integer closure returns a branch target, the
+#:   ``_Halt`` sentinel or None; the memory closure returns
+#:   ``(block_until, pending_writes)``;
+#: * ``next_ip`` — the memoized fall-through IP, or None when it leaves
+#:   the code segment (the executors then re-derive it live, which
+#:   faults);
+#: * ``live_ops`` — the bundle's non-filler operations;
+#: * ``ends_trace`` — HALT or TRAP: final thread state and trap dispatch
+#:   belong to the per-cycle path, so superblock traces stop in front.
+#:
+#: A node refers to nothing that refers back to it, so one dropped from
+#: the cache is freed at once.
+NODE_BUNDLE = 0
+NODE_MEM_FN = 3
+
+
+def compile_bundle(chip: "MAPChip", bundle: Bundle,
+                   ip: GuardedPointer) -> tuple:
+    """Compile ``bundle``, fetched through ``ip``, into its node (the
+    layout above).
+
+    The trace-cache idiom: everything that is a pure function of the
+    encoding and the fetch pointer — which unit an op needs, ALU
+    immediates, MOVI's word, branch targets, the fall-through IP —
+    resolves once, here, so issuing the bundle spends no cycles
+    re-deciding what each op *is*.  Pre-deriving pointers is invisible:
+    LEA is pure (the same derivation the executors would make, through
+    the same memo), and a derivation that faults is re-made live, so
+    the fault raises only where stepping would raise it."""
+    try:
+        next_ip = _lea(chip, ip.word, BUNDLE_BYTES)
+    except GuardedPointerFault:
+        next_ip = None
+    code = bundle.int_op.opcode
+    return (bundle, _compile_int(chip, bundle.int_op, ip),
+            _compile_fp(bundle.fp_op), _compile_mem(chip, bundle.mem_op),
+            next_ip, bundle.live_ops,
+            code is Opcode.HALT or code is Opcode.TRAP)
+
+
+def _unit(unit, chip: "MAPChip", op: Operation):
+    """The closure of a rare op: call its unit on every issue."""
+    def call_unit(thread, regs, commits, now):
+        return unit(chip, thread, op, commits, now)
+    return call_unit
+
+
+def _compile_int(chip: "MAPChip", op: Operation, ip: GuardedPointer):
+    """The integer-slot closure.  ALU ops, MOVI, MOV, the branches, HALT
+    and TRAP are defined here; the rest call :func:`_int_unit`."""
+    code = op.opcode
+    rd, ra, rb, imm = op.rd, op.ra, op.rb, op.imm
+    if code is Opcode.NOP:
+        return None
+    # ALU results are built the way the frozen dataclass's own __init__
+    # does (object.__setattr__), skipping three Python calls per op;
+    # reading ``.value`` ignores the tag, exactly as ``.untagged()``
+    new = TaggedWord.__new__
+    setattr_ = object.__setattr__
+    if code in _INT_ALU_IMM:
+        fn = _INT_ALU[_INT_ALU_IMM[code]]
+        b = imm & _WORD_MASK
+
+        def alu_imm(thread, regs, commits, now):
+            word = new(TaggedWord)
+            setattr_(word, "value", fn(regs.read(ra).value, b) & _WORD_MASK)
+            setattr_(word, "tag", False)
+            commits.append(("r", rd, word))
+        return alu_imm
+    if code in _INT_ALU:
+        fn = _INT_ALU[code]
+
+        def alu(thread, regs, commits, now):
+            word = new(TaggedWord)
+            setattr_(word, "value",
+                     fn(regs.read(ra).value, regs.read(rb).value)
+                     & _WORD_MASK)
+            setattr_(word, "tag", False)
+            commits.append(("r", rd, word))
+        return alu
+    if code is Opcode.MOVI:
+        write = ("r", rd, TaggedWord.integer(imm))
+
+        def movi(thread, regs, commits, now):
+            commits.append(write)
+        return movi
+    if code is Opcode.MOV:
+        def mov(thread, regs, commits, now):
+            # MOV preserves the tag: copying a pointer yields the pointer
+            commits.append(("r", rd, regs.read(ra)))
+        return mov
+    if code is Opcode.BR or code is Opcode.BEQ or code is Opcode.BNE:
+        try:
+            target = _lea(chip, ip.word, imm)
+        except GuardedPointerFault:
+            # the target leaves the segment: derive it live, so the
+            # fault raises only when the branch is taken
+            target = None
+        if code is Opcode.BR:
+            def br(thread, regs, commits, now):
+                if target is None:
+                    return _lea(chip, thread.ip.word, imm)
+                return target
+            return br
+        want_zero = code is Opcode.BEQ
+
+        def branch(thread, regs, commits, now):
+            if (regs.read(rd).value == 0) is not want_zero:
+                return None
+            if target is None:
+                return _lea(chip, thread.ip.word, imm)
+            return target
+        return branch
+    if code is Opcode.HALT:
+        def halt(thread, regs, commits, now):
+            return _Halt
+        return halt
+    if code is Opcode.TRAP:
+        def trap(thread, regs, commits, now):
+            raise TrapFault(imm)
+        return trap
+    return _unit(_int_unit, chip, op)
+
+
+def _compile_fp(op: Operation):
+    """The floating-point-slot closure: the FP ALU is defined here; the
+    moves and casts call :func:`_fp_unit`."""
+    code = op.opcode
+    if code is Opcode.FNOP or code is Opcode.NOP:
+        return None
+    if code in _FP_ALU:
+        fn = _FP_ALU[code]
+        rd, ra, rb = op.rd, op.ra, op.rb
+
+        def fp_alu(thread, regs, commits, now):
+            commits.append(("f", rd, fn(regs.read_f(ra), regs.read_f(rb))))
+        return fp_alu
+    return _unit(_fp_unit, None, op)
+
+
+#: a memory op that neither blocks nor defers a register write
+_NO_BLOCK = (None, ())
+
+
+def _compile_mem(chip: "MAPChip", op: Operation):
+    """The memory-slot closure: the checked loads and stores are defined
+    here; pointer manipulation calls :func:`_mem_unit`.
+
+    Loads and stores keep the exact per-execution path — the
+    access-check memo, the banked cache's timing, the load-to-use
+    histogram, the store's decoded-bundle invalidation.  Off a mesh
+    they bind the local cache port directly, which is everything
+    :meth:`MAPChip.access_memory` does without a router; on a mesh
+    they go through ``access_memory`` for routing, remote waits and the
+    remote-code mirror.  A node compiled off a mesh never runs on one:
+    attaching a router drops every decoded bundle.
+    """
+    code = op.opcode
+    if code is Opcode.NOP or code is Opcode.FNOP:
+        return None
+    ra, rd, imm = op.ra, op.rd, op.imm
+    meshed = chip.router is not None
+    if code is Opcode.LD or code is Opcode.LDF:
+        access = chip.access_memory if meshed else chip.cache.access
+        obs = chip.obs
+        load_to_use = obs.load_to_use.add
+        to_float = code is Opcode.LDF
+        bank = "f" if to_float else "r"
+
+        def load(thread, regs, commits, now):
+            vaddr = _mem_address(chip, regs.read(ra), imm, False)
+            result = access(vaddr, write=False, now=now)
+            ready = result.ready_cycle
+            if ready == REMOTE_WAIT:
+                # remote load: the window barrier resolves the value
+                # and the true latency (the histogram is charged then)
+                chip.router.bind_remote_load(chip, thread.tid, bank, rd)
+                return REMOTE_WAIT, ()
+            if obs.enabled:
+                load_to_use(ready - now)
+            if to_float:
+                return ready, (("f", rd, word_to_float(result.word)),)
+            return ready, (("r", rd, result.word),)
+        return load
+    if code is Opcode.ST or code is Opcode.STF:
+        access = chip.access_memory if meshed else chip.cache.access
+        invalidate = None if meshed else chip.invalidate_decoded_word
+        from_float = code is Opcode.STF
+
+        def store(thread, regs, commits, now):
+            vaddr = _mem_address(chip, regs.read(ra), imm, True)
+            if from_float:
+                value = float_to_word(regs.read_f(rd))
+            else:
+                value = regs.read(rd)
+            if invalidate is not None:
+                invalidate(vaddr)
+            access(vaddr, write=True, now=now, value=value)
+            return _NO_BLOCK  # stores are buffered; the thread proceeds
+        return store
+    return _unit(_mem_unit, chip, op)
+
+
+# -- the rare-op units -----------------------------------------------------
+
+
+def _int_unit(chip: "MAPChip", thread: Thread, op: Operation,
+              commits: list, now: int):
+    """ISPTR, GETIP and JMP; returns JMP's target, else None."""
+    code = op.opcode
+    regs = thread.regs
+    if code is Opcode.ISPTR:
+        commits.append(("r", op.rd, ops.ispointer(regs.read(op.ra))))
+        return None
+    if code is Opcode.GETIP:
+        commits.append(("r", op.rd, _lea(chip, thread.ip.word, op.imm).word))
+        return None
+    if code is Opcode.JMP:
+        target_word = regs.read(op.ra)
+        new_ip = ops.check_jump(target_word, thread.privileged)
+        auditor = chip.jump_auditor
+        if auditor is not None:
+            auditor(thread, GuardedPointer.from_word(target_word),
+                    new_ip, now)
+        obs = chip.obs
+        if obs.enabled:
+            obs.note_jump(thread, target_word, new_ip, now,
+                          cluster=thread.scheduler.cluster_id)
+        return new_ip
+    raise AssertionError(f"unhandled integer op {code.name}")
+
+
+def _fp_unit(chip, thread: Thread, op: Operation, commits: list,
+             now: int) -> None:
+    """FMOV and the casts."""
+    code = op.opcode
+    regs = thread.regs
+    if code is Opcode.FMOV:
+        commits.append(("f", op.rd, regs.read_f(op.ra)))
+        return
+    if code is Opcode.ITOF:
+        commits.append(("f", op.rd, float(regs.read(op.ra).as_signed())))
+        return
+    if code is Opcode.FTOI:
+        commits.append(("r", op.rd,
+                        TaggedWord.integer(saturating_ftoi(regs.read_f(op.ra)))))
+        return
+    raise AssertionError(f"unhandled fp op {code.name}")
+
+
+def _mem_unit(chip: "MAPChip", thread: Thread, op: Operation,
+              commits: list, now: int):
+    """The pointer-manipulation ops; none of them blocks."""
+    code = op.opcode
+    regs = thread.regs
+    if code is Opcode.LEA:
+        commits.append(("r", op.rd, _lea(chip, regs.read(op.ra), op.imm).word))
+    elif code is Opcode.LEAR:
+        offset = to_s64(regs.read(op.rb).untagged().value)
+        commits.append(("r", op.rd, _lea(chip, regs.read(op.ra), offset).word))
+    elif code is Opcode.LEAB:
+        commits.append(("r", op.rd, ops.leab(regs.read(op.ra), op.imm).word))
+    elif code is Opcode.LEABR:
+        offset = to_s64(regs.read(op.rb).untagged().value)
+        commits.append(("r", op.rd, ops.leab(regs.read(op.ra), offset).word))
+    elif code is Opcode.SETPTR:
+        forged = ops.setptr(regs.read(op.ra), privileged=thread.privileged)
+        commits.append(("r", op.rd, forged.word))
+    elif code is Opcode.RESTRICT:
+        perm_code = regs.read(op.rb).untagged().value
+        try:
+            perm = Permission(perm_code)
+        except ValueError:
+            raise RestrictFault(f"not a permission code: {perm_code}") from None
+        commits.append(("r", op.rd, ops.restrict(regs.read(op.ra), perm).word))
+    elif code is Opcode.SUBSEG:
+        length = regs.read(op.rb).untagged().value
+        commits.append(("r", op.rd, ops.subseg(regs.read(op.ra), length).word))
+    else:
+        raise AssertionError(f"unhandled memory op {code.name}")
+    return _NO_BLOCK
+
+
+# -- the derivation memos --------------------------------------------------
+
+
+def _lea(chip: "MAPChip", word: TaggedWord, offset: int) -> GuardedPointer:
+    """LEA through the chip's derivation memo.
+
+    ``ops.lea`` is a pure function of the pointer's bits and the
+    offset — the same (word, offset) pair always yields the same
+    (immutable) pointer, independent of any page-table or memory
+    state — so successful derivations are memoized chip-wide.  IP
+    advance, branch targets and load/store address arithmetic all come
+    through here.  Faulting derivations are never cached, and untagged
+    words bypass the memo (a pointer and an integer can share a bit
+    pattern).
+    """
+    cache = chip._lea_cache
+    if cache is None or not word.tag:
+        return ops.lea(word, offset)
+    key = (word.value, offset)
+    ptr = cache.get(key)
+    if ptr is None:
+        ptr = ops.lea(word, offset)
+        cache[key] = ptr
+    return ptr
+
+
+def _mem_address(chip: "MAPChip", word: TaggedWord, offset: int,
+                 write: bool) -> int:
+    """The checked virtual address of a load/store, through the chip's
+    access-check memo.
+
+    The whole derivation — LEA bounds, tag check, READ/WRITE
+    permission — is a pure function of (pointer bits, offset): none of
+    it consults the page table or memory.  So once a (word, offset)
+    pair has passed, a later access through the *same* pointer word is
+    a single dictionary probe; that is the paper's thesis applied to
+    the data path (checks resolve once, nothing downstream re-walks).
+    A different pointer word — even to the same address — takes the
+    full check path.  Faulting derivations are never cached, and
+    untagged words bypass the memo (a pointer and an integer can share
+    a bit pattern).
+    """
+    memo = chip._store_check_memo if write else chip._load_check_memo
+    if memo is None or not word.tag:
+        ptr = _lea(chip, word, offset)
+        (ops.check_store if write else ops.check_load)(ptr.word)
+        return ptr.address
+    key = (word.value, offset)
+    vaddr = memo.get(key)
+    if vaddr is not None:
+        chip.check_memo_hits += 1
+        return vaddr
+    ptr = _lea(chip, word, offset)
+    (ops.check_store if write else ops.check_load)(ptr.word)
+    chip.check_memo_misses += 1
+    memo[key] = ptr.address
+    return ptr.address

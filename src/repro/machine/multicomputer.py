@@ -144,7 +144,7 @@ class Multicomputer:
             chip = MAPChip(config)
             chip.node_id = node
             chip.obs.node = node
-            chip.router = self
+            chip.attach_router(self)
             arena_base = self.partition.base_of(node) + (1 << arena_order)
             kernel = Kernel(chip, arena_base=arena_base,
                             arena_order=arena_order)
@@ -594,11 +594,6 @@ class Multicomputer:
         for node, effects in per_node.items():
             if effects:
                 self._apply_effects(self.chips[node], effects)
-
-    # -- machine-wide fault handling --------------------------------------
-    # (kept for API compatibility: callers may still install per-node
-    # handlers; remote page faults are now serviced home-side at the
-    # barrier, so the per-node kernel handler is the default.)
 
     # -- global-kernel conveniences ----------------------------------------
 

@@ -121,11 +121,7 @@ class ReferenceInterpreter:
         self._exec_fp(bundle.fp_op, commits)
         self._exec_mem(bundle.mem_op, commits, privileged)
 
-        for bank, index, value in commits:
-            if bank == "r":
-                self.regs.write(index, value)
-            else:
-                self.regs.write_f(index, value)
+        self.regs.commit(commits)
 
         if halted:
             return "halted"

@@ -67,6 +67,17 @@ class RegisterFile:
     def write_f(self, index: int, value: float) -> None:
         self._fregs[index] = float(value)
 
+    def commit(self, writes) -> None:
+        """Apply ``(bank, index, value)`` writes in order — a bundle's
+        commits, or the deferred writes of a load — where bank ``"r"``
+        names the integer registers and ``"f"`` the FP registers."""
+        regs, fregs = self._regs, self._fregs
+        for bank, index, value in writes:
+            if bank == "r":
+                regs[index] = value
+            else:
+                fregs[index] = float(value)
+
     def pointers(self) -> list[TaggedWord]:
         """All tagged words currently in integer registers — what a
         caller must spill/clear around a protected subsystem call

@@ -101,11 +101,7 @@ class Thread:
 
     def maybe_wake(self, now: int) -> None:
         if self.state is ThreadState.BLOCKED and now >= self.wake_at:
-            for bank, index, value in self.pending_writes:
-                if bank == "r":
-                    self.regs.write(index, value)
-                else:
-                    self.regs.write_f(index, value)
+            self.regs.commit(self.pending_writes)
             self.pending_writes.clear()
             self.state = ThreadState.READY
 

@@ -288,7 +288,6 @@ def _reset_functional_memos(chip: "MAPChip") -> None:
     machine and by restore on the target — so the two re-warm from the
     same cold state and their memo tallies stay bit-identical."""
     chip._decode_cache.clear()
-    chip._sb_nodes.clear()
     if chip._lea_cache is not None:
         chip._lea_cache.clear()
     if chip._load_check_memo is not None:

@@ -1,6 +1,9 @@
 """The decoded-bundle cache: steady-state hits, and every invalidation
 path — unmap, local stores, loader range reuse, and remote writes."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.exceptions import PermissionFault
@@ -8,6 +11,7 @@ from repro.core.permissions import Permission
 from repro.core.pointer import GuardedPointer
 from repro.machine.assembler import assemble
 from repro.machine.chip import ChipConfig, MAPChip, RunReason
+from repro.machine.cluster import NODE_BUNDLE, NODE_MEM_FN
 from repro.machine.isa import Opcode
 from repro.machine.multicomputer import Multicomputer
 from repro.machine.network import MeshShape
@@ -58,12 +62,12 @@ class TestPointerRevalidation:
 
     def test_different_word_same_address_still_checked(self, chip):
         entry = load(chip, "movi r1, 1\nhalt")
-        bundle = chip.fetch(entry)
+        bundle = chip.fetch(entry)[NODE_BUNDLE]
         # a pointer with different bits (privileged) to the same
         # address reuses the decode but re-runs the checks
         priv = GuardedPointer.make(Permission.EXECUTE_PRIV,
                                    entry.seglen, entry.address)
-        assert chip.fetch(priv) is bundle
+        assert chip.fetch(priv)[NODE_BUNDLE] is bundle
 
     def test_cached_address_is_no_execute_loophole(self, chip):
         entry = load(chip, "movi r1, 1\nhalt")
@@ -73,6 +77,88 @@ class TestPointerRevalidation:
                                  entry.seglen, entry.address)
         with pytest.raises(PermissionFault):
             chip.fetch(rw)
+
+
+class TestPointerAlternation:
+    """Two pointer words to one decoded address — say, two pointers with
+    different bounds into one gateway — each pass the fetch checks
+    once; alternating between them afterwards never re-decodes or
+    re-checks, and superblock traces keep running through both."""
+
+    # each iteration jumps back to ``top`` through the other of two
+    # execute pointers (r6, r7) that differ only in their bounds
+    LOOP = """
+        movi r2, 30
+    top:
+        addi r3, r3, 1
+        addi r4, r4, 2
+        subi r2, r2, 1
+        beq  r2, done
+        mov  r8, r6
+        mov  r6, r7
+        mov  r7, r8
+        jmp  r8
+    done:
+        halt
+    """
+
+    def test_alternating_fetches_stay_hits(self, chip):
+        entry = load(chip, COUNTER_LOOP)
+        wide = GuardedPointer.make(entry.permission, entry.seglen + 1,
+                                   entry.address)
+        for ip in (entry, wide) * 4:
+            chip.fetch(ip)
+        assert chip.fetch_misses == 1
+        assert chip.fetch_hits == 7
+        assert len(chip._decode_cache) == 1
+
+    def test_pointer_failing_the_checks_still_faults(self, chip):
+        entry = load(chip, COUNTER_LOOP)
+        wide = GuardedPointer.make(entry.permission, entry.seglen + 1,
+                                   entry.address)
+        for ip in (entry, wide, entry):
+            chip.fetch(ip)
+        not_execute = GuardedPointer.make(Permission.READ_WRITE,
+                                          entry.seglen, entry.address)
+        # an 8-byte segment cannot hold a 24-byte bundle
+        too_small = GuardedPointer.make(entry.permission, 3, entry.address)
+        for bad in (not_execute, too_small):
+            with pytest.raises(PermissionFault):
+                chip.fetch(bad)
+        assert chip.fetch_misses == 1
+        # the failed words were not adopted: they fault again
+        with pytest.raises(PermissionFault):
+            chip.fetch(too_small)
+
+    def _machine(self, superblock):
+        chip = MAPChip(ChipConfig(memory_bytes=1024 * 1024,
+                                  superblock=superblock))
+        entry = load(chip, self.LOOP)
+        top = entry.address + assemble(self.LOOP).labels["top"]
+        narrow = GuardedPointer.make(entry.permission, entry.seglen, top)
+        wide = GuardedPointer.make(entry.permission, entry.seglen + 1, top)
+        thread = chip.spawn(entry, regs={6: wide.word, 7: narrow.word})
+        return chip, thread
+
+    def test_traces_run_through_both_words(self):
+        chip, thread = self._machine(superblock=True)
+        grown = []
+        while chip.run(max_cycles=40).reason == RunReason.MAX_CYCLES:
+            grown.append(chip.superblock_bundles)
+        assert thread.state.name == "HALTED"
+        assert thread.regs.read(3).value == 30
+        # superblock traces keep issuing after the alternation starts
+        assert len(grown) >= 4
+        assert all(b > a for a, b in zip(grown, grown[1:]))
+        # every bundle was decoded once; each later pointer word at a
+        # decoded address is a hit
+        bundles = len(assemble(self.LOOP).bundles)
+        assert chip.fetch_misses == bundles
+        off, off_thread = self._machine(superblock=False)
+        off.run()
+        assert off.now == chip.now
+        assert off_thread.regs.snapshot() == thread.regs.snapshot()
+        assert off.counters.snapshot() == chip.counters.snapshot()
 
 
 class TestInvalidation:
@@ -87,13 +173,13 @@ class TestInvalidation:
     def test_store_drops_overlapping_bundle(self, chip):
         entry = load(chip, "movi r1, 1\nhalt")
         before = chip.fetch(entry)
-        assert before.int_op.opcode is Opcode.MOVI
+        assert before[NODE_BUNDLE].int_op.opcode is Opcode.MOVI
         # overwrite the bundle's integer-slot word in place
         patch = assemble("addi r1, r1, 5").encode()[0]
         chip.access_memory(entry.address, write=True, now=0, value=patch)
         after = chip.fetch(entry)
         assert after is not before
-        assert after.int_op.opcode is Opcode.ADDI
+        assert after[NODE_BUNDLE].int_op.opcode is Opcode.ADDI
 
     def test_store_probes_unaligned_bundle_starts(self, chip):
         # bundles start every 24 bytes but segments align to powers of
@@ -113,14 +199,38 @@ class TestInvalidation:
         kernel = Kernel(MAPChip(ChipConfig(memory_bytes=1024 * 1024)))
         chip = kernel.chip
         first = kernel.load_program("movi r5, 1\nhalt")
-        assert chip.fetch(first).int_op.imm == 1
+        assert chip.fetch(first)[NODE_BUNDLE].int_op.imm == 1
         kernel.free_segment(first)
         second = kernel.load_program("movi r5, 2\nhalt")
         # whether or not the allocator reused the address, the fetch
         # must see the newly loaded words
-        assert chip.fetch(second).int_op.imm == 2
+        assert chip.fetch(second)[NODE_BUNDLE].int_op.imm == 2
         chip.invalidate_decoded_range(second.segment_base, 48)
         assert second.address not in chip._decode_cache
+
+    def test_dropped_node_is_freed_without_the_collector(self, chip):
+        # a node holds nothing that refers back to it, so invalidation
+        # frees it by reference counting alone
+        entry = load(chip, "ld r1, r2, 0\nhalt")
+        gc.disable()
+        try:
+            load_fn = weakref.ref(chip.fetch(entry)[NODE_MEM_FN])
+            chip.fetch(GuardedPointer.make(entry.permission,
+                                           entry.seglen + 1, entry.address))
+            assert load_fn() is not None
+            chip.invalidate_decoded_word(entry.address)
+            assert load_fn() is None
+        finally:
+            gc.enable()
+
+    def test_attaching_a_router_drops_compiled_bundles(self, chip):
+        # compiled loads and stores bind the local cache port off a
+        # mesh; none of them may survive onto a mesh node
+        entry = load(chip, "ld r1, r2, 0\nhalt")
+        chip.fetch(entry)
+        assert chip._decode_cache
+        chip.attach_router(object())
+        assert not chip._decode_cache
 
     def test_remote_write_invalidates_every_node(self):
         mc = Multicomputer(shape=MeshShape(2, 1, 1),
@@ -128,7 +238,7 @@ class TestInvalidation:
                            arena_order=24)
         entry = mc.load_on(0, "movi r1, 1\nhalt")
         chip0 = mc.chips[0]
-        assert chip0.fetch(entry).int_op.opcode is Opcode.MOVI
+        assert chip0.fetch(entry)[NODE_BUNDLE].int_op.opcode is Opcode.MOVI
         assert entry.address in chip0._decode_cache
         # node 1 writes the code word through the mesh; node 0's
         # decoded copy must be gone once the window's traffic lands
@@ -137,7 +247,7 @@ class TestInvalidation:
                                   value=patch)
         mc.advance_idle(mc.window)
         assert entry.address not in chip0._decode_cache
-        assert chip0.fetch(entry).int_op.opcode is Opcode.ADDI
+        assert chip0.fetch(entry)[NODE_BUNDLE].int_op.opcode is Opcode.ADDI
 
     def test_unmap_on_any_node_flushes_all_nodes(self):
         mc = Multicomputer(shape=MeshShape(2, 1, 1),

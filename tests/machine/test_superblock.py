@@ -7,10 +7,18 @@ while a superblock is hot."""
 
 import pytest
 
+from repro.machine.assembler import assemble
 from repro.machine.chip import ChipConfig, MAPChip, RunReason
+from repro.machine.cluster import NODE_MEM_FN
+from repro.machine.multicomputer import Multicomputer
+from repro.machine.network import MeshShape
+from repro.machine.reference import ReferenceInterpreter
 from repro.machine.thread import ThreadState
+from repro.mem.tagged_memory import AlignmentFault
 from repro.runtime.swap import SwapManager
 from repro.sim.api import Simulation
+
+from tests.machine.conftest import data_segment, load
 
 MEMORY = 2 * 1024 * 1024
 
@@ -82,8 +90,8 @@ UNIT_WORKLOADS = {
     done:
         halt
     """,
-    # integer unit, interpreter fallback (MOV/ISPTR/GETIP/JMP take the
-    # uncompiled _exec_int path inside a superblock)
+    # integer unit, rare ops (ISPTR/GETIP call the integer unit through
+    # their node's generic closure; MOV is compiled)
     "int-fallback": """
         movi r2, 100
     loop:
@@ -235,6 +243,174 @@ class TestUnitParity:
         assert_parity(*out)
 
 
+# -- the per-cycle path: concurrent threads, and a mesh -------------------
+#
+# Turbo needs exactly one ready thread on an un-meshed chip, so the sweep
+# above runs each unit through superblock traces.  The sweeps below send
+# the same workloads down the per-cycle path, which issues the same
+# compiled nodes: several threads in separate protection domains sharing
+# one cluster, and a two-node mesh whose loads and stores are all
+# remote.  Every run is checked against the reference interpreter and
+# against decode_cache=False (walk, decode and compile on every fetch).
+
+CODE_BASE = 0x10000
+DATA_BASE = 0x40000
+DATA_BYTES = 4096
+
+
+def _initial_regs(k, data):
+    return {8: data.word, 3: 11 * k + 1, 4: 5 * k}
+
+
+def _no_fetch_counters(snapshot):
+    """The counter file minus the decode cache's own (fetch.*) counters,
+    which are the only ones decode_cache=False changes."""
+    return {k: v for k, v in snapshot.items() if "fetch." not in k}
+
+
+def run_concurrent(source, threads, *, decode_cache=True):
+    """``threads`` copies of ``source`` on cluster 0 of a bare chip, each
+    in its own domain with its own data segment in r8; returns the chip,
+    the run result and ``(thread, initial registers, segment base)``."""
+    chip = MAPChip(ChipConfig(memory_bytes=MEMORY, decode_cache=decode_cache))
+    entry = load(chip, source, base=CODE_BASE)
+    spawned = []
+    for k in range(threads):
+        base = DATA_BASE + k * DATA_BYTES
+        data = data_segment(chip, base, DATA_BYTES)
+        thread = chip.spawn(entry, domain=k + 1, cluster=0,
+                            regs=_initial_regs(k, data))
+        spawned.append((thread, thread.regs.snapshot(), base))
+    return chip, chip.run(100_000), spawned
+
+
+def run_mesh(source, *, decode_cache=True):
+    """Two threads on node 0 of a 2-node mesh, in separate domains, each
+    with a data segment homed on node 1; returns the machine, the run
+    result, the entry pointer and ``(thread, initial registers, segment
+    base)``."""
+    mc = Multicomputer(shape=MeshShape(2, 1, 1),
+                       chip_config=ChipConfig(memory_bytes=MEMORY,
+                                              decode_cache=decode_cache),
+                       arena_order=24)
+    entry = mc.load_on(0, source)
+    spawned = []
+    for k in range(2):
+        data = mc.allocate_on(1, DATA_BYTES, eager=True)
+        thread = mc.spawn_on(0, entry, domain=k + 1, cluster=0,
+                             regs=_initial_regs(k, data), stack_bytes=0)
+        spawned.append((thread, thread.regs.snapshot(), data.segment_base))
+    return mc, mc.run(100_000), entry, spawned
+
+
+def reference_run(source, entry, initial):
+    ref = ReferenceInterpreter()
+    ref.load_program(assemble(source), entry.address)
+    ref.ip = entry
+    regs, fregs = initial
+    for index in range(16):
+        ref.regs.write(index, regs[index])
+        ref.regs.write_f(index, fregs[index])
+    return ref, ref.run()
+
+
+def assert_matches_reference(source, entry, spawned, chip_for_data):
+    """Each thread's registers, halt or fault, and data segment equal a
+    reference run of the same program from the same registers."""
+    for thread, initial, base in spawned:
+        ref, result = reference_run(source, entry, initial)
+        if result.reason == "faulted":
+            assert thread.state is ThreadState.FAULTED
+            assert type(thread.fault.cause) is type(result.fault)
+        else:
+            assert result.reason == "halted"
+            assert thread.state is ThreadState.HALTED
+        assert thread.regs.snapshot() == ref.regs.snapshot()
+        chip = chip_for_data
+        for offset in range(0, DATA_BYTES, 8):
+            word = chip.memory.load_word(chip.page_table.walk(base + offset))
+            assert word == ref.load_word(base + offset), hex(base + offset)
+
+
+@pytest.mark.parametrize("unit", sorted(UNIT_WORKLOADS))
+class TestPerCycleUnitParity:
+    """Each unit's compiled closures on the per-cycle path, with 2–4
+    threads interleaved cycle by cycle on one cluster."""
+
+    @pytest.mark.parametrize("threads", (2, 3, 4))
+    def test_concurrent_threads(self, unit, threads):
+        source = UNIT_WORKLOADS[unit]
+        chip, result, spawned = run_concurrent(source, threads)
+        assert result.reason == "halted"
+        entry = load(MAPChip(ChipConfig(memory_bytes=MEMORY)), source,
+                     base=CODE_BASE)
+        assert_matches_reference(source, entry, spawned, chip)
+
+        off, off_result, off_spawned = run_concurrent(source, threads,
+                                                      decode_cache=False)
+        assert off_result.cycles == result.cycles
+        assert off_result.issued_bundles == result.issued_bundles
+        assert [t.regs.snapshot() for t, _, _ in off_spawned] == \
+            [t.regs.snapshot() for t, _, _ in spawned]
+        assert _no_fetch_counters(off.counters.snapshot()) == \
+            _no_fetch_counters(chip.counters.snapshot())
+        assert off.obs.flight.dump() == chip.obs.flight.dump()
+
+
+@pytest.mark.parametrize("unit", sorted(NEEDS_DATA))
+class TestMeshUnitParity:
+    """The memory workloads on node 0 of a mesh, every load and store
+    remote: the compiled closures go through the chip's mesh port, so
+    loads wait for the window barrier (REMOTE_WAIT) and stores travel
+    as messages."""
+
+    def test_remote_data(self, unit):
+        source = UNIT_WORKLOADS[unit]
+        mc, result, entry, spawned = run_mesh(source)
+        assert result.reason == "halted"
+        counters = mc.counters_snapshot()
+        reads = counters.get("router.remote_reads", 0)
+        assert reads + counters.get("router.remote_writes", 0) > 0
+        if reads:
+            # remote loads blocked until their barrier reply
+            assert all(t.stats.stall_cycles > 0 for t, _, _ in spawned)
+        names = {node[NODE_MEM_FN].__name__
+                 for nodes in mc.chips[0]._decode_cache.values()
+                 for node in nodes.values()
+                 if node[NODE_MEM_FN] is not None}
+        assert names & {"load", "store"}
+        assert_matches_reference(source, entry, spawned, mc.chips[1])
+
+        off, off_result, _, off_spawned = run_mesh(source,
+                                                   decode_cache=False)
+        assert off_result.cycles == result.cycles
+        assert [t.regs.snapshot() for t, _, _ in off_spawned] == \
+            [t.regs.snapshot() for t, _, _ in spawned]
+        assert _no_fetch_counters(off.counters_snapshot()) == \
+            _no_fetch_counters(counters)
+
+
+class TestMeshUnalignedAccess:
+    @pytest.mark.parametrize("op", ["ld r3, r9, 0", "st r3, r9, 0"])
+    def test_unaligned_remote_access_faults(self, op):
+        # alignment is a property of the virtual address: the compiled
+        # closure faults at issue, before any message leaves the node
+        source = f"lea r9, r8, 4\n{op}\nhalt"
+        outcomes = []
+        for decode_cache in (True, False):
+            mc, _, entry, spawned = run_mesh(source,
+                                             decode_cache=decode_cache)
+            for thread, _, _ in spawned:
+                assert thread.state is ThreadState.FAULTED
+                assert isinstance(thread.fault.cause, AlignmentFault)
+            counters = mc.counters_snapshot()
+            assert counters.get("router.remote_reads", 0) == 0
+            assert counters.get("router.remote_writes", 0) == 0
+            assert_matches_reference(source, entry, spawned, mc.chips[1])
+            outcomes.append((mc.chips[0].now, _no_fetch_counters(counters)))
+        assert outcomes[0] == outcomes[1]
+
+
 class TestMidSuperblockInvalidation:
     def test_store_into_the_cached_trace(self):
         # the loop patches its own body (movi imm) every iteration —
@@ -285,7 +461,7 @@ class TestMidSuperblockInvalidation:
             sim.step(50)  # superblock is hot across this boundary
             table = sim.chip.page_table
             table.unmap(table.page_of(entry.address))
-            assert not sim.chip._sb_nodes  # flushed with the decode cache
+            assert not sim.chip._decode_cache  # traces run its nodes
             res = sim.run(100_000)
             out.append(sim)
             out.append(res)
@@ -315,7 +491,7 @@ class TestMidSuperblockInvalidation:
             table = sim.chip.page_table
             swap.swap_out(table.page_of(entry.address))
             swap.swap_out(table.page_of(data.segment_base))
-            assert not sim.chip._sb_nodes
+            assert not sim.chip._decode_cache
             res = sim.run(100_000)
             out.append(sim)
             out.append(res)

@@ -7,7 +7,7 @@ tracing-overhead microbenchmarks, the E5 counter snapshot, the
 multi-tenant service-traffic run
 (``benchmarks/bench_service_traffic.py``), and the E17 nine-scheme
 battleground (``benchmarks/bench_e17_compartmentalization.py``), and
-writes everything to ``BENCH_pr10.json`` at the repo root.
+writes everything to ``BENCH_pr12.json`` at the repo root.
 
 Every benchmark runs ``--warmup`` unrecorded passes followed by
 ``--trials`` recorded passes; numeric results are reported as
@@ -19,9 +19,9 @@ construction, which is itself a useful invariant).  Non-numeric values
 
 Usage::
 
-    python tools/run_benchmarks.py [--out BENCH_pr10.json] [--quick]
+    python tools/run_benchmarks.py [--out BENCH_pr12.json] [--quick]
                                    [--trials N] [--warmup M]
-                                   [--baseline BENCH_pr10.json]
+                                   [--baseline BENCH_pr12.json]
 
 ``--quick`` shrinks every workload for CI smoke runs; the cross-checks
 and the cycles-equal assertions still apply, only the sizes change.
@@ -271,7 +271,7 @@ def check_baseline(payload: dict, baseline_path: Path) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_pr10.json"))
+    parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_pr12.json"))
     parser.add_argument("--quick", action="store_true",
                         help="shrink every workload for CI smoke runs")
     parser.add_argument("--trials", type=int, default=3,
