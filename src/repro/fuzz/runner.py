@@ -99,7 +99,8 @@ def _same_failure(original: Divergence) -> Callable[[FuzzCase], bool]:
 def run_campaign(seed: int = 0, cases: int = 200,
                  scenario: str | None = None, shrink: bool = True,
                  log: Callable[[str], None] | None = None) -> FuzzReport:
-    """Run ``cases`` generated cases through both diff axes.
+    """Run ``cases`` generated cases through every diff axis
+    (:func:`run_case`).
 
     Fully deterministic in ``(seed, cases, scenario)``; pass ``log``
     (e.g. ``print``) for progress and failure reporting as it happens.

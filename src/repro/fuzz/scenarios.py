@@ -587,8 +587,9 @@ def diff_parallel_axis(case: FuzzCase) -> Divergence | None:
     process — and require bit-identical digests: cycle counts,
     registers, memory, fault sequences, the merged counter snapshot,
     and a sha-256 of the full machine image captured at a
-    window-aligned split mid-run.  This is the sharded engine's whole
-    contract: the partition map must be unobservable."""
+    window-aligned split mid-run.  Both arms run the same window loop
+    over the same node verbs, so this checks the pipe transport against
+    in-process calls: the partition map must be unobservable."""
     if case.scenario not in PARALLEL_SCENARIOS:
         return None
     axis = "parallel-vs-lockstep"

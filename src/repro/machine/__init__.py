@@ -27,17 +27,6 @@ from repro.machine.registers import RegisterFile, float_to_word, word_to_float
 from repro.machine.thread import Thread, ThreadState, ThreadStats
 
 
-def __getattr__(name: str):
-    # the legacy tracer shim is deprecated: import it lazily so merely
-    # importing repro.machine never touches it (the shim's Tracer class
-    # warns on construction; everything new uses Simulation.trace())
-    if name in ("TraceEvent", "Tracer"):
-        from repro.machine import tracer
-
-        return getattr(tracer, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "AssemblyError",
     "BlockDevice",
@@ -57,8 +46,6 @@ __all__ = [
     "MeshShape",
     "ReferenceInterpreter",
     "ReferenceResult",
-    "TraceEvent",
-    "Tracer",
     "ChipConfig",
     "ChipStats",
     "MAPChip",

@@ -33,10 +33,18 @@ message injected at cycle ``T`` cannot affect its destination before
   requests in that order, and replies/invalidations are applied back
   at the sources in that order.
 
-Because nodes never interact inside a window, advancing the nodes of a
-window serially, or sharded across OS processes
-(:mod:`repro.machine.parallel`), produces **bit-identical** machines —
-the partitioned-vs-lockstep fuzz axis proves it continuously.
+Because nodes never interact inside a window, the window loop
+(:meth:`Multicomputer.run`, :meth:`~Multicomputer.step`,
+:meth:`~Multicomputer.advance_idle`, the barrier exchange and
+:meth:`~Multicomputer.drain_to_barrier`) is written once, over a *shard
+transport* — the verbs that advance, idle, drain and service a set of
+nodes.  :class:`LocalShards` calls them directly on this process's
+nodes (``workers=1``);
+:class:`~repro.machine.parallel.ParallelMulticomputer` sends them down
+pipes to worker processes, each hosting a :class:`LocalShards` over its
+slice of the nodes.  Any ownership map produces **bit-identical**
+machines — the partitioned-vs-lockstep fuzz axis checks the pipes
+against the in-process transport continuously.
 
 Semantics under the protocol (visible differences from a
 cycle-interleaved engine, all bounded by one window):
@@ -66,6 +74,7 @@ cycle-interleaved engine, all bounded by one window):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from repro.core.constants import ADDRESS_BITS
 from repro.core.exceptions import PageFault
@@ -108,6 +117,10 @@ class Partition:
     def span(self) -> int:
         """Bytes of address space per node."""
         return 1 << self.shift
+
+
+#: the barrier's batch order: (cycle, src_node, seq)
+_MESSAGE_ORDER = itemgetter(1, 2, 3)
 
 
 def window_cycles(hop_cycles: int, interface_cycles: int) -> int:
@@ -187,6 +200,9 @@ class Multicomputer:
         #: cluster can attach its destination register immediately
         self._last_load: tuple[int, int] = (0, -1)
         self._external_cycles = config.external_cycles
+        #: the transport the window loop drives: every node in this
+        #: process, until the sharded engine installs its pipes
+        self.shards = LocalShards(self)
 
     def home_of(self, vaddr: int) -> int:
         """The node currently holding ``vaddr``: the partition's static
@@ -232,9 +248,6 @@ class Multicomputer:
         seq = self._seq[src]
         self._seq[src] = seq + 1
         return seq
-
-    def _in_flight(self) -> bool:
-        return any(self._outbox)
 
     def _make_unmap_hook(self, chip: MAPChip):
         def hook(_virtual_page: int) -> None:
@@ -331,18 +344,6 @@ class Multicomputer:
         return self._next_barrier
 
     # -- the window barrier ------------------------------------------------
-
-    def _collect_messages(self) -> list[list]:
-        """Drain every outbox into one deterministically ordered batch:
-        sorted by (cycle, src_node, seq) — exactly the order a
-        cycle-interleaved lockstep engine would have presented them to
-        the network and the home memories."""
-        messages: list[list] = []
-        for box in self._outbox:
-            messages.extend(box)
-            box.clear()
-        messages.sort(key=lambda m: (m[1], m[2], m[3]))
-        return messages
 
     def _home_translate(self, home_node: int, vaddr: int) -> int | None:
         """Functional translation at the home node, demand-paging
@@ -580,20 +581,23 @@ class Multicomputer:
                         per_node[node].append((index, ["flush"]))
         return per_node
 
-    def _process_barrier(self) -> None:
-        """Exchange one window's traffic (both phases, serially)."""
-        messages = self._collect_messages()
+    def _barrier(self) -> None:
+        """Exchange one window's traffic: the messages the shards have
+        drained, in the deterministic (cycle, src_node, seq) order a
+        cycle-interleaved engine would have presented them to the
+        network and the home memories.  Phase A plans on this machine,
+        which owns the mesh and the migration forwarding map; the
+        shards owning the home nodes service the requests and the
+        shards owning the destinations apply the effects."""
+        shards = self.shards
+        messages = shards.messages
         if not messages:
             return
+        shards.messages = []
+        messages.sort(key=_MESSAGE_ORDER)
         home_ops, timing = self._plan_barrier(messages)
-        replies: dict[int, list] = {}
-        for home_node in sorted(home_ops):
-            for index, msg in home_ops[home_node]:
-                replies[index] = self._apply_home_op(msg, home_node)
-        per_node = self._route_effects(messages, timing, replies)
-        for node, effects in per_node.items():
-            if effects:
-                self._apply_effects(self.chips[node], effects)
+        replies = shards.home_ops(home_ops)
+        shards.effects(self._route_effects(messages, timing, replies))
 
     # -- global-kernel conveniences ----------------------------------------
 
@@ -613,38 +617,48 @@ class Multicomputer:
     def counters_snapshot(self) -> dict[str, int | float]:
         """Every node's counter file merged into one view: bare names
         are machine-wide sums, ``node<N>.*`` names stay per-node."""
-        return merge_snapshots(
-            {chip.node_id: chip.counters.snapshot() for chip in self.chips})
+        return merge_snapshots(self.shards.counters())
 
-    # -- the machine-wide clock --------------------------------------------
+    # -- the machine-wide clock (the window loop) ----------------------------
 
     def all_threads(self) -> list[Thread]:
         return [t for chip in self.chips for t in chip.all_threads()]
 
-    def _advance_chip(self, chip: MAPChip, end: int) -> int:
-        """Run one node independently up to cycle ``end`` (a window
-        boundary or the run deadline); returns bundles issued.  Within
-        a window no cross-node interaction exists, so this is exactly
-        the single-chip engine.  A node that goes quiet stops at its
-        last live cycle; the caller re-aligns clocks (charging idle
-        time, exactly as lockstep would have) once it knows whether the
-        whole machine stopped."""
-        issued = 0
-        while chip.now < end and chip._runnable_count:
-            result = chip.run(max_cycles=end - chip.now)
-            issued += result.issued_bundles
+    def _window(self, end: int) -> int:
+        """Advance every node independently to cycle ``end`` (the
+        barrier or the run deadline) and, at the barrier, exchange the
+        window's traffic; returns bundles issued.  Nodes that went
+        quiet mid-window idle along to ``end`` while the machine is
+        still alive, as lockstep stepping would have charged them."""
+        shards = self.shards
+        barrier = self._next_barrier
+        at_barrier = end == barrier
+        issued = shards.advance(end, barrier, at_barrier)
+        if shards.runnable():
+            shards.skip_to(end)
+        if at_barrier:
+            self._barrier()
+            self._next_barrier = barrier + self.window
         return issued
 
-    def step(self) -> int:
-        """Advance every node one cycle; returns bundles issued
+    def step(self, cycles: int = 1) -> int:
+        """Advance every node ``cycles`` cycles; returns bundles issued
         machine-wide.  Barriers fire exactly when the clock reaches
-        them, identically to :meth:`run`."""
+        them, identically to :meth:`run`: nodes are independent inside
+        a window, so stepping each node up to the next barrier is the
+        same as interleaving them cycle by cycle."""
+        shards = self.shards
         issued = 0
-        for chip in self.chips:
-            issued += chip.step()
-        if self.chips[0].now >= self._next_barrier:
-            self._process_barrier()
-            self._next_barrier += self.window
+        while cycles > 0:
+            barrier = self._next_barrier
+            now = shards.now()
+            k = min(cycles, max(1, barrier - now))
+            at_barrier = now + k >= barrier
+            issued += shards.step(k, barrier, at_barrier)
+            if at_barrier:
+                self._barrier()
+                self._next_barrier = barrier + self.window
+            cycles -= k
         return issued
 
     def advance_idle(self, cycles: int) -> None:
@@ -652,14 +666,15 @@ class Multicomputer:
         guaranteed-idle cycles on every node.  Any in-flight window
         traffic drains first (nothing runnable can observe the early
         exchange), and the barrier grid re-anchors past the skip."""
-        if any(chip._runnable_count for chip in self.chips):
+        shards = self.shards
+        if shards.runnable():
             raise ValueError("cannot skip cycles while threads are runnable")
         if cycles <= 0:
             return
-        self._process_barrier()
-        for chip in self.chips:
-            chip._skip_idle(cycles)
-        now = self.chips[0].now
+        shards.collect()
+        self._barrier()
+        shards.skip_all(cycles)
+        now = shards.now()
         if self._next_barrier <= now:
             self._next_barrier = now + self.window
 
@@ -667,50 +682,48 @@ class Multicomputer:
         """Advance the machine in lookahead windows until every thread
         stops (see the module docstring).  Within a window each node
         runs independently; barriers exchange the queued traffic."""
-        chips = self.chips
-        start = chips[0].now
+        shards = self.shards
+        start = shards.now()
         deadline = start + max_cycles
         issued = 0
         while True:
-            runnable = sum(c._runnable_count for c in chips)
-            if runnable == 0:
+            if not shards.runnable():
                 # Threads may be done while posted stores / broadcasts
                 # are still queued: drain them early (nothing runnable
                 # can observe the exchange), re-align every node to the
                 # last cycle any node actually reached — the cycle
                 # lockstep would have stopped at — and report why.
-                self._process_barrier()
-                last = max(c.now for c in chips)
-                for chip in chips:
-                    if chip.now < last:
-                        chip._skip_idle(last - chip.now)
-                if any(c._runnable_count for c in chips):
+                shards.collect()
+                self._barrier()
+                last = shards.now()
+                shards.skip_to(last)
+                if shards.runnable():
                     continue  # defensive; barrier effects cannot wake
-                if any(cl.faulted_count for c in chips
-                       for cl in c.clusters):
-                    reason = RunReason.FAULTED
-                else:
-                    reason = RunReason.HALTED
+                reason = (RunReason.FAULTED if shards.faulted()
+                          else RunReason.HALTED)
                 return RunResult(last - start, issued, reason)
-            # runnable chips are clock-aligned here (every window pass
-            # below re-aligns the quiet ones)
-            now = max(c.now for c in chips)
+            # runnable nodes are clock-aligned here (every window
+            # re-aligns the quiet ones)
+            now = shards.now()
             if now >= deadline:
-                return RunResult(now - start, issued,
-                                 RunReason.MAX_CYCLES)
-            end = min(self._next_barrier, deadline)
-            for chip in chips:
-                issued += self._advance_chip(chip, end)
-            if any(c._runnable_count for c in chips):
-                # the machine is still alive: nodes that went quiet
-                # mid-window idle along to the boundary, as lockstep
-                # would have charged them
-                for chip in chips:
-                    if chip.now < end:
-                        chip._skip_idle(end - chip.now)
-            if end == self._next_barrier:
-                self._process_barrier()
-                self._next_barrier += self.window
+                return RunResult(now - start, issued, RunReason.MAX_CYCLES)
+            end = self._next_barrier
+            issued += self._window(end if end < deadline else deadline)
+
+    def drain_to_barrier(self) -> None:
+        """Bring the machine to a message-quiet point: if any window
+        traffic is pending, advance to the next barrier and exchange it
+        (so the clock may move forward by up to one window).  At a
+        quiet point — right after any barrier — this moves nothing.
+        The sharded engine drains before every sync back."""
+        shards = self.shards
+        shards.collect()
+        if not shards.messages:
+            return
+        if shards.runnable() and shards.now() < self._next_barrier:
+            self._window(self._next_barrier)
+        else:
+            self._barrier()
 
     # -- persistence (repro.persist) -----------------------------------
 
@@ -746,6 +759,226 @@ class Multicomputer:
         from repro.persist.image import restore_multicomputer_state
 
         restore_multicomputer_state(self, state)
+
+
+class LocalShards:
+    """The in-process shard transport: the window loop's verbs, called
+    directly on the ``owned`` nodes of an in-process machine.
+
+    A :class:`Multicomputer` drives one over every node; each worker
+    process of the sharded engine (:mod:`repro.machine.parallel`) hosts
+    one over its slice of a restored copy, so both engines run these
+    very verbs.  ``machine`` supplies ``chips`` and ``kernels`` (a
+    single-node :class:`~repro.sim.api.Simulation` passes itself and
+    uses only the workload verbs); the loop verbs also use its window
+    state."""
+
+    workers = 1
+    #: the nodes live here, so the machine is always the current one
+    #: and direct edits are always legal
+    authoritative = True
+
+    def __init__(self, machine, owned=None):
+        self.machine = machine
+        self.owned = (list(range(len(machine.chips))) if owned is None
+                      else list(owned))
+        #: window traffic drained from the owned outboxes, awaiting the
+        #: barrier
+        self.messages: list[list] = []
+        #: per-node span-level sinks attached by :meth:`trace_on`
+        self._sinks: dict[int, list] = {}
+
+    # -- what the loop reads ---------------------------------------------
+
+    def now(self) -> int:
+        """The furthest node's clock (all nodes share it between
+        loop calls)."""
+        chips = self.machine.chips
+        now = 0
+        for n in self.owned:
+            if chips[n].now > now:
+                now = chips[n].now
+        return now
+
+    def runnable(self) -> bool:
+        chips = self.machine.chips
+        for n in self.owned:
+            if chips[n]._runnable_count:
+                return True
+        return False
+
+    def faulted(self) -> bool:
+        chips = self.machine.chips
+        for n in self.owned:
+            for cluster in chips[n].clusters:
+                if cluster.faulted_count:
+                    return True
+        return False
+
+    # -- the loop's verbs --------------------------------------------------
+
+    def advance(self, end: int, next_barrier: int, drain: bool) -> int:
+        """Run each node on its own up to cycle ``end``; returns bundles
+        issued.  Within a window no cross-node interaction exists, so
+        this is exactly the single-chip engine.  A node that goes quiet
+        stops at its last live cycle; the loop re-aligns clocks once it
+        knows whether the whole machine stopped.  ``drain`` collects
+        the window's traffic for the barrier."""
+        machine = self.machine
+        machine._next_barrier = next_barrier  # fetch_remote reads it
+        chips = machine.chips
+        issued = 0
+        for n in self.owned:
+            chip = chips[n]
+            while chip.now < end and chip._runnable_count:
+                issued += chip.run(max_cycles=end - chip.now).issued_bundles
+        if drain:
+            self.collect()
+        return issued
+
+    def step(self, cycles: int, next_barrier: int, drain: bool) -> int:
+        """Step each node ``cycles`` single cycles (the window loop
+        never crosses a barrier inside one call)."""
+        machine = self.machine
+        machine._next_barrier = next_barrier
+        chips = machine.chips
+        issued = 0
+        for n in self.owned:
+            chip = chips[n]
+            for _ in range(cycles):
+                issued += chip.step()
+        if drain:
+            self.collect()
+        return issued
+
+    def collect(self) -> None:
+        """Move the owned outboxes' queued traffic into
+        :attr:`messages`."""
+        outbox = self.machine._outbox
+        for n in self.owned:
+            box = outbox[n]
+            if box:
+                self.messages.extend(box)
+                box.clear()
+
+    def skip_to(self, target: int) -> None:
+        """Idle every node that is behind ``target`` up to it."""
+        chips = self.machine.chips
+        for n in self.owned:
+            chip = chips[n]
+            if chip.now < target:
+                chip._skip_idle(target - chip.now)
+
+    def skip_all(self, cycles: int) -> None:
+        chips = self.machine.chips
+        for n in self.owned:
+            chips[n]._skip_idle(cycles)
+
+    def home_ops(self, home_ops: dict[int, list]) -> dict[int, list]:
+        """Service each home node's ``(index, msg)`` requests in batch
+        order; returns message index -> reply payload."""
+        apply = self.machine._apply_home_op
+        replies: dict[int, list] = {}
+        for home in sorted(home_ops):
+            for index, msg in home_ops[home]:
+                replies[index] = apply(msg, home)
+        return replies
+
+    def effects(self, per_node: dict[int, list]) -> None:
+        machine = self.machine
+        for node in sorted(per_node):
+            if per_node[node]:
+                machine._apply_effects(machine.chips[node], per_node[node])
+
+    # -- workload and observation verbs ------------------------------------
+
+    def spawn(self, node: int, entry, kwargs: dict) -> int:
+        return self.machine.kernels[node].spawn(entry, **kwargs).tid
+
+    def retire(self, pending, result_reg: int) -> dict:
+        """Retire the finished threads among ``pending`` ``(node, tid)``
+        handles, in order.  Each stopped thread leaves its cluster and
+        reports under its handle as ``node``, ``tid``, ``state``,
+        ``halted_at`` and ``result`` (``result_reg`` at HALT); running
+        threads are skipped, and a tid with no resident thread (reaped
+        by the kernel after a kill) reports as FAULTED."""
+        chips = self.machine.chips
+        finished: dict[tuple[int, int], dict] = {}
+        node = None
+        for key in pending:
+            if key[0] != node:
+                node = key[0]
+                chip = chips[node]
+                by_tid = {t.tid: t for cluster in chip.clusters
+                          for t in cluster.slots if t is not None}
+            tid = key[1]
+            thread = by_tid.get(tid)
+            if thread is None:
+                state, halted_at, result = "FAULTED", chip.now, 0
+            elif thread.state is ThreadState.HALTED:
+                state, halted_at = "HALTED", thread.halted_at
+                result = thread.regs.read(result_reg).value
+            elif thread.state is ThreadState.FAULTED:
+                state, halted_at, result = "FAULTED", chip.now, 0
+            else:
+                continue
+            if thread is not None:
+                thread.scheduler.remove_thread(thread)
+            finished[key] = {"node": node, "tid": tid, "state": state,
+                             "halted_at": halted_at, "result": result}
+        return finished
+
+    def hist(self, node: int, name: str, value: int) -> None:
+        self.machine.chips[node].obs.add_histogram(name).add(value)
+
+    def emit(self, node: int, name: str, cycle: int, tid, dur,
+             args: dict) -> None:
+        self.machine.chips[node].obs.emit(name, cycle, tid=tid, dur=dur,
+                                          **args)
+
+    def counters(self) -> dict[int, dict]:
+        """Each node's counter snapshot, by node id."""
+        chips = self.machine.chips
+        return {n: chips[n].counters.snapshot() for n in self.owned}
+
+    def flight_dumps(self) -> dict[int, dict]:
+        chips = self.machine.chips
+        return {n: chips[n].obs.flight.dump() for n in self.owned}
+
+    def trace_on(self) -> None:
+        """Attach a span-level (``hot=False``) sink to every node's
+        hub: per-miss and cold events accumulate, the per-bundle path
+        stays dark and turbo stays engaged."""
+        chips = self.machine.chips
+        for n in self.owned:
+            if n not in self._sinks:
+                sink: list = []
+                chips[n].obs.attach(sink, hot=False)
+                self._sinks[n] = sink
+
+    def trace_drain(self) -> list:
+        """Detach the span sinks and return their events."""
+        events: list = []
+        for n, sink in self._sinks.items():
+            self.machine.chips[n].obs.detach(sink)
+            events.extend(sink)
+        self._sinks = {}
+        return events
+
+    def capture(self) -> dict[int, list]:
+        """Each node's image, sequence counter and queued traffic — what
+        the sharded engine's sync back restores on the coordinator."""
+        from repro.persist.image import capture_node
+
+        machine = self.machine
+        return {n: [capture_node(machine.kernels[n]), machine._seq[n],
+                    list(machine._outbox[n])] for n in self.owned}
+
+    def sync_back(self) -> None:
+        """Nothing to pull: the nodes are in this process."""
+
+    def close(self) -> None:
+        """Nothing to stop."""
 
 
 def value_pair(word: TaggedWord) -> list:

@@ -3,56 +3,49 @@
 The window protocol (see :mod:`repro.machine.multicomputer`) already
 guarantees that nodes never interact *inside* a window — all cross-node
 traffic queues in per-node outboxes and is exchanged at the barrier in
-the deterministic ``(cycle, src_node, seq)`` order.  That makes the
-serial engine embarrassingly partitionable: hand each OS process a
-contiguous slice of the nodes, let every process advance its slice to
-the barrier independently, ship the queued messages to a coordinator,
-and replay the *same* barrier the serial engine would have run:
+the deterministic ``(cycle, src_node, seq)`` order.  So the window loop
+does not care where a node lives: :class:`Multicomputer` runs the one
+loop over a shard transport, and :class:`ParallelMulticomputer` is the
+transport that hands each OS process a contiguous slice of the nodes.
+Every worker hosts a :class:`~repro.machine.multicomputer.LocalShards`
+over its slice — the same class the in-process engine drives — and
+executes the verbs the coordinator sends down its pipe:
 
-* **phase A** (network timing + per-home service lists) runs on the
-  coordinator via :meth:`Multicomputer._plan_barrier` — the mesh and
-  the migration forwarding map live only there;
-* **home ops** are executed by the worker that owns each home node
-  (:meth:`Multicomputer._apply_home_op`), in global batch order;
-* **phase B** effects are routed per destination
-  (:meth:`Multicomputer._route_effects`) and applied by each owning
-  worker (:meth:`Multicomputer._apply_effects`), again in batch order.
+* **advance / step / idle**: the worker's nodes run to the window edge
+  on their own and report their clocks and runnable counts;
+* **phase A** of each barrier (network timing + per-home service lists)
+  runs on the coordinator via :meth:`Multicomputer._plan_barrier` — the
+  mesh and the migration forwarding map live only there;
+* **home ops** are executed by the worker that owns each home node, in
+  global batch order, and **phase B** effects by the worker that owns
+  each destination.
 
 Every machine-state mutation for node ``n`` happens in the one worker
 that owns ``n`` — chip advance, home-side demand paging, reply
 effects, even the sequence counters — so the partition map cannot
 change the interleaving and any ownership map produces **bit-identical**
-machines.  The partitioned-vs-lockstep fuzz axis and the determinism
-tests prove this continuously.
+machines.  The parallel fuzz axis checks the pipes against the
+in-process transport continuously.
 
-Workers warm-start from snapshots: the coordinator runs all workload
-setup (load / allocate / spawn) on its own in-process machine, then on
-the first clock-advancing call captures the whole machine
-(:func:`repro.persist.image.capture_multicomputer`) and ships the
-payload to freshly forked workers, each of which restores it and from
-then on advances only its owned nodes.  The same capture → restore →
-re-ship path implements mid-run **rebalancing** (changing the
-ownership map) and migration support.
-
-The coordinator replicates the serial engine's control flow *exactly*
-— the same advance / idle-skip / barrier order on both the alive and
-the stopped paths — because barrier effects read ``chip.now`` when
-they fault a thread, and a one-cycle clock skew would diverge the
-machines.
+The coordinator's own machine is authoritative before the workers start
+and after :meth:`ParallelMulticomputer.sync_back`; workload setup and
+direct edits happen only then.  The next verb ships it: the coordinator
+captures the whole machine
+(:func:`repro.persist.image.capture_multicomputer`) and every worker —
+forked on first use — restores it, then advances only its owned nodes.
+The same capture → restore path implements mid-run **rebalancing**
+(changing the ownership map) and migration.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import pickle
 import traceback
 from multiprocessing import get_context
 from pathlib import Path
 
-from repro.machine.chip import RunReason, RunResult
-from repro.machine.counters import merge_snapshots
-from repro.machine.thread import ThreadState
+from repro.machine.multicomputer import LocalShards
 
 
 class ParallelError(Exception):
@@ -76,189 +69,29 @@ def partition_nodes(nodes: int, workers: int) -> list[list[int]]:
     return owned
 
 
-def retire_on_chip(chip, tids: list[int], result_reg: int) -> list[list]:
-    """Retire finished request threads on one chip, preserving the
-    caller's order.  For each tid whose thread has stopped, returns
-    ``[tid, state_name, halted_at, result_reg_value]`` and removes the
-    thread from its cluster; running threads are skipped.  A tid with
-    no resident thread (reaped by the kernel after a kill) reports as
-    FAULTED.  Shared by the serial facade and the worker verb so both
-    engines retire in the identical order with identical side effects."""
-    finished: list[list] = []
-    by_tid = {t.tid: t for cluster in chip.clusters
-              for t in cluster.slots if t is not None}
-    for tid in tids:
-        thread = by_tid.get(tid)
-        if thread is None:
-            finished.append([tid, "FAULTED", chip.now, 0])
-            continue
-        if thread.state is ThreadState.HALTED:
-            finished.append([tid, "HALTED", thread.halted_at,
-                             thread.regs.read(result_reg).value])
-        elif thread.state is ThreadState.FAULTED:
-            finished.append([tid, "FAULTED", chip.now, 0])
-        else:
-            continue
-        thread.scheduler.remove_thread(thread)
-    return finished
-
-
 # -- the worker process -------------------------------------------------
 
-class _Worker:
-    """One OS process owning a slice of the nodes.  Holds a full
-    restored machine (so every :class:`Multicomputer` method works
-    unchanged) but only ever advances / mutates its owned nodes."""
+def _load(shards: LocalShards | None, payload: dict,
+          owned: list[int]) -> LocalShards:
+    """Restore the shipped machine and own ``owned``.  A reload restores
+    in place, so sinks attached to the hubs survive it."""
+    from repro.persist.image import (restore_multicomputer,
+                                     restore_multicomputer_state)
 
-    def __init__(self):
-        self.machine = None
-        self.owned: list[int] = []
-        #: per-owned-node span-level sinks (the request tracer's
-        #: worker half); attached by "trace_on", drained by "trace_drain"
-        self._span_sinks: dict[int, list] = {}
-
-    # every mutating verb replies with this so the coordinator's
-    # mirrors of the per-node clocks / runnable / faulted states stay
-    # exact without extra round trips
-    def _report(self) -> dict:
-        out = {}
-        for n in self.owned:
-            chip = self.machine.chips[n]
-            out[n] = [chip.now, chip._runnable_count,
-                      sum(cl.faulted_count for cl in chip.clusters)]
-        return out
-
-    def _drain(self) -> list[list]:
-        messages: list[list] = []
-        for n in self.owned:
-            box = self.machine._outbox[n]
-            messages.extend(box)
-            box.clear()
-        return messages
-
-    def init(self, payload: dict, owned: list[int]) -> dict:
-        from repro.persist.image import restore_multicomputer
-
-        self.machine = restore_multicomputer(payload)
-        self.owned = list(owned)
-        return {"nodes": self._report()}
-
-    def reload(self, payload: dict, owned: list[int]) -> dict:
-        from repro.persist.image import restore_multicomputer_state
-
-        restore_multicomputer_state(self.machine, payload)
-        self.owned = list(owned)
-        return {"nodes": self._report()}
-
-    def advance(self, end: int, next_barrier: int, drain: bool) -> dict:
-        machine = self.machine
-        machine._next_barrier = next_barrier  # fetch_remote reads it
-        issued = 0
-        for n in self.owned:
-            issued += machine._advance_chip(machine.chips[n], end)
-        return {"issued": issued, "nodes": self._report(),
-                "messages": self._drain() if drain else []}
-
-    def step(self, k: int, next_barrier: int, drain: bool) -> dict:
-        machine = self.machine
-        machine._next_barrier = next_barrier
-        issued = 0
-        for n in self.owned:
-            chip = machine.chips[n]
-            for _ in range(k):
-                issued += chip.step()
-        return {"issued": issued, "nodes": self._report(),
-                "messages": self._drain() if drain else []}
-
-    def collect(self) -> dict:
-        return {"nodes": self._report(), "messages": self._drain()}
-
-    def skip(self, targets: dict[int, int]) -> dict:
-        for n, target in targets.items():
-            chip = self.machine.chips[n]
-            if target > chip.now:
-                chip._skip_idle(target - chip.now)
-        return {"nodes": self._report()}
-
-    def skip_all(self, cycles: int) -> dict:
-        for n in self.owned:
-            self.machine.chips[n]._skip_idle(cycles)
-        return {"nodes": self._report()}
-
-    def home_ops(self, ops: list) -> dict:
-        replies = {}
-        for index, msg, home in ops:
-            replies[index] = self.machine._apply_home_op(msg, home)
-        return {"replies": replies, "nodes": self._report()}
-
-    def effects(self, per_node: dict[int, list]) -> dict:
-        for n in sorted(per_node):
-            self.machine._apply_effects(self.machine.chips[n], per_node[n])
-        return {"nodes": self._report()}
-
-    def spawn(self, node: int, entry, kwargs: dict) -> dict:
-        thread = self.machine.kernels[node].spawn(entry, **kwargs)
-        return {"tid": thread.tid, "nodes": self._report()}
-
-    def retire(self, per_node: list, result_reg: int) -> dict:
-        finished = []
-        for node, tids in per_node:
-            for entry in retire_on_chip(self.machine.chips[node], tids,
-                                        result_reg):
-                finished.append([node] + entry)
-        return {"finished": finished, "nodes": self._report()}
-
-    def hist(self, node: int, name: str, value: int) -> dict:
-        chip = self.machine.chips[node]
-        chip.obs.add_histogram(name).add(value)
-        return {}
-
-    def emit(self, node: int, name: str, cycle: int, tid, dur,
-             args: dict) -> dict:
-        self.machine.chips[node].obs.emit(name, cycle, tid=tid, dur=dur,
-                                          **args)
-        return {}
-
-    def trace_on(self) -> dict:
-        """Attach a span-level (``hot=False``) sink to every owned
-        node's hub — per-miss and cold events start accumulating, the
-        per-bundle path stays dark and turbo stays engaged.  Sinks
-        survive ``reload`` (restore mutates chips in place)."""
-        for n in self.owned:
-            if n not in self._span_sinks:
-                sink: list = []
-                self.machine.chips[n].obs.attach(sink, hot=False)
-                self._span_sinks[n] = sink
-        return {}
-
-    def trace_drain(self) -> dict:
-        from repro.obs.events import encode_event
-
-        out = {}
-        for n, sink in sorted(self._span_sinks.items()):
-            self.machine.chips[n].obs.detach(sink)
-            out[n] = [encode_event(e) for e in sink]
-        self._span_sinks = {}
-        return {"events": out}
-
-    def counters(self) -> dict:
-        return {n: self.machine.chips[n].counters.snapshot()
-                for n in self.owned}
-
-    def flights(self) -> dict:
-        return {n: self.machine.chips[n].obs.flight.dump()
-                for n in self.owned}
-
-    def capture(self) -> dict:
-        from repro.persist.image import capture_node
-
-        return {"nodes": {n: capture_node(self.machine.kernels[n])
-                          for n in self.owned},
-                "seq": {n: self.machine._seq[n] for n in self.owned}}
+    if shards is None:
+        return LocalShards(restore_multicomputer(payload), owned)
+    restore_multicomputer_state(shards.machine, payload)
+    shards.owned = list(owned)
+    return shards
 
 
-def _worker_main(conn) -> None:
-    worker = _Worker()
+def _worker_main(conn, inherited) -> None:
+    # the fork copied the coordinator's ends of every pipe opened so
+    # far, this worker's own included; holding them would keep this
+    # worker (and its older siblings) from ever seeing EOF
+    for end in inherited:
+        end.close()
+    shards = None
     while True:
         try:
             command = conn.recv()
@@ -266,36 +99,50 @@ def _worker_main(conn) -> None:
             return
         verb, args = command[0], command[1:]
         if verb == "stop":
-            conn.send(["ok", None])
+            conn.send(["ok"])
             conn.close()
             return
         try:
-            reply = getattr(worker, verb)(*args)
-        except Exception:  # ship the debris home, keep serving
+            if verb == "load":
+                shards = _load(shards, *args)
+                result = None
+            else:
+                result = getattr(shards, verb)(*args)
+            chips = shards.machine.chips
+            # the clocks, runnable counts and faulted flags the
+            # coordinator's loop reads, plus any traffic drained
+            report = [[chips[n].now, chips[n]._runnable_count,
+                       any(cl.faulted_count for cl in chips[n].clusters)]
+                      for n in shards.owned]
+            messages, shards.messages = shards.messages, []
+            reply = ["ok", result, report, messages]
+        except Exception:  # ship the debris home; the coordinator closes
             dumps = {}
-            if worker.machine is not None:
-                for n in worker.owned:
-                    try:
-                        dumps[n] = worker.machine.chips[n].obs.flight.dump()
-                    except Exception:
-                        pass
-            conn.send(["error", traceback.format_exc(), dumps])
-            continue
-        conn.send(["ok", reply])
+            if shards is not None:
+                try:
+                    dumps = shards.flight_dumps()
+                except Exception:
+                    pass
+            reply = ["error", traceback.format_exc(), dumps]
+        try:
+            conn.send(reply)
+        except OSError:  # the coordinator is gone
+            return
 
 
 # -- the coordinator ----------------------------------------------------
 
 class ParallelMulticomputer:
-    """Drives one :class:`Multicomputer` sharded across worker
-    processes, bit-identically to the serial engine.
+    """The pipe shard transport: :class:`LocalShards`' verbs, each sent
+    to the worker processes owning the nodes it touches, so the
+    ``machine``'s window loop runs sharded and bit-identically to the
+    in-process engine.
 
-    The wrapped ``machine`` is authoritative for the mesh network, the
-    migration forwarding map and the barrier position; the workers are
-    authoritative for node state (chips, kernels, sequence counters)
-    once started.  Until the first clock-advancing call the workers do
-    not exist and the machine is live — build workloads first, then
-    run."""
+    The wrapped ``machine`` always owns the mesh network, the migration
+    forwarding map and the barrier position.  Node state (chips,
+    kernels, sequence counters) is authoritative in the machine while
+    :attr:`authoritative` is set — before the first verb and after
+    :meth:`sync_back` — and in the workers otherwise."""
 
     def __init__(self, machine, workers: int):
         if workers < 1:
@@ -305,61 +152,93 @@ class ParallelMulticomputer:
         self.workers = len(self.owned)
         self._owner = {n: w for w, nodes in enumerate(self.owned)
                        for n in nodes}
+        #: the coordinator's own nodes: read while authoritative, and
+        #: host of the span sinks for what only the coordinator runs
+        #: (``router.hop`` from barrier planning, the migration path)
+        self._local = LocalShards(machine)
         self._conns: list = []
         self._procs: list = []
-        self._started = False
         self._closed = False
-        #: coordinator-held messages drained from workers but not yet
-        #: barrier-processed; the (cycle, src, seq) sort at the barrier
-        #: makes the buffering location irrelevant
-        self._msgbuf: list[list] = []
+        #: True while the machine, not the workers, holds the live node
+        #: state: direct edits are legal, and the next verb ships it
+        self.authoritative = True
+        #: window traffic the workers drained, awaiting the barrier
+        self.messages: list[list] = []
         nodes = len(machine.chips)
         self._now = [0] * nodes
         self._runnable = [0] * nodes
-        self._faulted = [0] * nodes
-        #: True while worker state has advanced past the wrapped
-        #: machine's; cleared by :meth:`sync_back`
-        self.dirty = False
+        self._faulted = [False] * nodes
 
     # -- lifecycle -------------------------------------------------------
 
-    @property
-    def started(self) -> bool:
-        return self._started
-
     def start(self) -> None:
-        """Fork the workers and warm-start each from a snapshot of the
-        wrapped machine (the same capture/restore path snapshots and
-        rebalancing use)."""
-        if self._started or self._closed:
+        """Ship the machine when it is authoritative: fork the workers
+        on first use, then warm-start every one from a capture (the
+        same path snapshots and rebalancing use)."""
+        if self._closed:
+            raise ParallelError("the parallel engine is closed")
+        if not self.authoritative:
             return
         from repro.persist.image import capture_multicomputer
 
         payload = capture_multicomputer(self.machine)
-        ctx = get_context("fork")
+        if not self._procs:
+            ctx = get_context("fork")
+            for _ in range(self.workers):
+                parent_end, child_end = ctx.Pipe()
+                self._conns.append(parent_end)
+                proc = ctx.Process(target=_worker_main,
+                                   args=(child_end, list(self._conns)),
+                                   daemon=True)
+                proc.start()
+                child_end.close()
+                self._procs.append(proc)
+        self.authoritative = False
         for w in range(self.workers):
-            parent_end, child_end = ctx.Pipe()
-            proc = ctx.Process(target=_worker_main, args=(child_end,),
-                               daemon=True)
-            proc.start()
-            child_end.close()
-            self._conns.append(parent_end)
-            self._procs.append(proc)
-        self._started = True
-        replies = self._broadcast([["init", payload, self.owned[w]]
-                                   for w in range(self.workers)])
-        for reply in replies:
-            self._ingest(reply["nodes"])
+            self._send(w, ["load", payload, self.owned[w]])
+        for w in range(self.workers):
+            self._recv(w)
 
-    def _ensure_started(self) -> None:
-        if self._closed:
-            raise ParallelError("the parallel engine is closed")
-        if not self._started:
-            self.start()
+    def sync_back(self) -> None:
+        """Drain to a window barrier and restore every node's true state
+        into the machine, making it authoritative again (for capture,
+        digesting, migration or direct edits; the next verb ships it
+        back)."""
+        if self.authoritative:
+            return
+        from repro.persist.image import restore_node
+
+        machine = self.machine
+        machine.drain_to_barrier()
+        for reply in self._all("capture"):
+            for n, (node_state, seq, outbox) in reply.items():
+                restore_node(machine.kernels[n], node_state)
+                machine._seq[n] = seq
+                machine._outbox[n] = outbox
+        self.authoritative = True
+
+    def rebalance(self, owned: list[list[int]] | None = None) -> None:
+        """Re-shard: sync the machine back, optionally install a new
+        ownership map, and warm-start every worker from the fresh
+        snapshot.  The window protocol makes execution independent of
+        the map, so this is bit-exact."""
+        if owned is not None:
+            flat = sorted(n for nodes in owned for n in nodes)
+            if flat != list(range(len(self.machine.chips))) or \
+                    len(owned) != self.workers:
+                raise ValueError(
+                    "ownership map must cover every node exactly once "
+                    "across the existing workers")
+        self.sync_back()
+        if owned is not None:
+            self.owned = [list(nodes) for nodes in owned]
+            self._owner = {n: w for w, nodes in enumerate(self.owned)
+                           for n in nodes}
+        self.start()
 
     def close(self, force: bool = False) -> None:
-        """Stop the workers.  The wrapped machine keeps whatever state
-        the last :meth:`sync_back` gave it."""
+        """Stop the workers.  The machine keeps whatever state the last
+        :meth:`sync_back` gave it."""
         if self._closed:
             return
         self._closed = True
@@ -368,12 +247,9 @@ class ParallelMulticomputer:
                 if not force:
                     conn.send(["stop"])
                     conn.recv()
-            except (OSError, EOFError, BrokenPipeError):
+            except (OSError, EOFError):
                 pass
-            try:
-                conn.close()
-            except OSError:
-                pass
+            conn.close()
         for proc in self._procs:
             proc.join(timeout=5)
             if proc.is_alive():
@@ -386,32 +262,57 @@ class ParallelMulticomputer:
     def _send(self, w: int, command: list) -> None:
         try:
             self._conns[w].send(command)
-        except (OSError, BrokenPipeError) as exc:
-            self._worker_down(w, f"pipe to worker {w} broke: {exc}")
+        except OSError as exc:
+            self._worker_down(f"pipe to worker {w} broke: {exc}")
 
     def _recv(self, w: int):
         try:
             reply = self._conns[w].recv()
         except (EOFError, OSError) as exc:
-            self._worker_down(w, f"worker {w} died mid-reply: {exc}")
+            self._worker_down(f"worker {w} died mid-reply: {exc}")
         if reply[0] == "error":
             self._worker_crashed(w, reply)
-        return reply[1]
+        _, result, report, messages = reply
+        for n, (now, runnable, faulted) in zip(self.owned[w], report):
+            self._now[n] = now
+            self._runnable[n] = runnable
+            self._faulted[n] = faulted
+        self.messages.extend(messages)
+        return result
 
-    def _call(self, w: int, command: list):
-        self._send(w, command)
+    def _scatter(self, verb: str, args: list) -> list:
+        """``verb`` with ``args[w]`` on each worker ``w`` (``None``:
+        not this one), sent before any reply is awaited so the workers
+        overlap; returns the results by worker."""
+        self.start()
+        for w, part in enumerate(args):
+            if part is not None:
+                self._send(w, [verb, *part])
+        return [None if part is None else self._recv(w)
+                for w, part in enumerate(args)]
+
+    def _all(self, verb: str, *args) -> list:
+        return self._scatter(verb, [args] * self.workers)
+
+    def _one(self, verb: str, node: int, *args):
+        """``verb`` on the worker owning ``node`` (its first argument)."""
+        self.start()
+        w = self._owner[node]
+        self._send(w, [verb, node, *args])
         return self._recv(w)
 
-    def _broadcast(self, commands: list[list]) -> list:
-        """One command per worker, sent before any reply is awaited so
-        the workers overlap."""
-        for w, command in enumerate(commands):
-            if command is not None:
-                self._send(w, command)
-        return [self._recv(w) if commands[w] is not None else None
-                for w in range(self.workers)]
+    def _split(self, per_node: dict) -> list:
+        """Per-node work as each owning worker's argument list."""
+        parts: list = [None] * self.workers
+        for node, items in per_node.items():
+            if items:
+                w = self._owner[node]
+                if parts[w] is None:
+                    parts[w] = [{}]
+                parts[w][0][node] = items
+        return parts
 
-    def _worker_down(self, w: int, why: str):
+    def _worker_down(self, why: str):
         self.close(force=True)
         raise ParallelError(why)
 
@@ -431,376 +332,97 @@ class ParallelMulticomputer:
         raise ParallelError(
             f"worker {w} crashed (flight recorders under {directory}):\n{tb}")
 
-    def _ingest(self, nodes: dict) -> None:
-        for n, (now, runnable, faulted) in nodes.items():
-            n = int(n)
-            self._now[n] = now
-            self._runnable[n] = runnable
-            self._faulted[n] = faulted
+    # -- what the loop reads ---------------------------------------------
 
-    # -- the clock (serial control flow, sharded) ------------------------
-
-    def _advance(self, end: int, drain: bool) -> int:
-        nb = self.machine._next_barrier
-        replies = self._broadcast([["advance", end, nb, drain]]
-                                  * self.workers)
-        issued = 0
-        for reply in replies:
-            issued += reply["issued"]
-            self._ingest(reply["nodes"])
-            self._msgbuf.extend(reply["messages"])
-        self.dirty = True
-        return issued
-
-    def _collect(self) -> None:
-        replies = self._broadcast([["collect"]] * self.workers)
-        for reply in replies:
-            self._ingest(reply["nodes"])
-            self._msgbuf.extend(reply["messages"])
-
-    def _skip_to(self, target: int) -> None:
-        commands: list = [None] * self.workers
-        for w, nodes in enumerate(self.owned):
-            behind = {n: target for n in nodes if self._now[n] < target}
-            if behind:
-                commands[w] = ["skip", behind]
-        for reply in self._broadcast(commands):
-            if reply is not None:
-                self._ingest(reply["nodes"])
-        self.dirty = True
-
-    def _barrier(self) -> None:
-        """The serial :meth:`Multicomputer._process_barrier`, with the
-        home ops and effects executed by the owning workers."""
-        messages = self._msgbuf
-        self._msgbuf = []
-        if not messages:
-            return
-        messages.sort(key=lambda m: (m[1], m[2], m[3]))
-        home_ops, timing = self.machine._plan_barrier(messages)
-        commands: list = [None] * self.workers
-        for home in sorted(home_ops):
-            w = self._owner[home]
-            if commands[w] is None:
-                commands[w] = ["home_ops", []]
-            commands[w][1].extend((index, msg, home)
-                                  for index, msg in home_ops[home])
-        replies: dict[int, list] = {}
-        for reply in self._broadcast(commands):
-            if reply is not None:
-                replies.update(reply["replies"])
-                self._ingest(reply["nodes"])
-        per_node = self.machine._route_effects(messages, timing, replies)
-        commands = [None] * self.workers
-        for node, effects in per_node.items():
-            if effects:
-                w = self._owner[node]
-                if commands[w] is None:
-                    commands[w] = ["effects", {}]
-                commands[w][1][node] = effects
-        for reply in self._broadcast(commands):
-            if reply is not None:
-                self._ingest(reply["nodes"])
-        self.dirty = True
-
-    def run(self, max_cycles: int = 1_000_000) -> RunResult:
-        """Mirror of :meth:`Multicomputer.run` over the shards; the
-        statement order matches the serial engine exactly (see the
-        module docstring)."""
-        self._ensure_started()
-        machine = self.machine
-        start = max(self._now)
-        deadline = start + max_cycles
-        issued = 0
-        while True:
-            if sum(self._runnable) == 0:
-                self._collect()
-                self._barrier()
-                last = max(self._now)
-                self._skip_to(last)
-                if any(self._runnable):
-                    continue  # defensive, as in the serial engine
-                reason = (RunReason.FAULTED if any(self._faulted)
-                          else RunReason.HALTED)
-                return RunResult(last - start, issued, reason)
-            now = max(self._now)
-            if now >= deadline:
-                return RunResult(now - start, issued, RunReason.MAX_CYCLES)
-            end = min(machine._next_barrier, deadline)
-            at_barrier = end == machine._next_barrier
-            issued += self._advance(end, drain=at_barrier)
-            if any(self._runnable):
-                self._skip_to(end)
-            if at_barrier:
-                self._barrier()
-                machine._next_barrier += machine.window
-        # unreachable
-
-    def step_many(self, cycles: int) -> int:
-        """``cycles`` single-cycle steps of every node, with barriers
-        firing exactly where :meth:`Multicomputer.step` fires them.
-        Within a window nodes are independent, so block-stepping each
-        shard ``k = min(cycles, barrier - now)`` cycles is identical to
-        interleaving."""
-        self._ensure_started()
-        machine = self.machine
-        issued = 0
-        while cycles > 0:
-            now = self._now[0]
-            k = min(cycles, max(1, machine._next_barrier - now))
-            at_barrier = now + k >= machine._next_barrier
-            replies = self._broadcast(
-                [["step", k, machine._next_barrier, at_barrier]]
-                * self.workers)
-            for reply in replies:
-                issued += reply["issued"]
-                self._ingest(reply["nodes"])
-                self._msgbuf.extend(reply["messages"])
-            self.dirty = True
-            if at_barrier:
-                self._barrier()
-                machine._next_barrier += machine.window
-            cycles -= k
-        return issued
-
-    def advance_idle(self, cycles: int) -> None:
-        self._ensure_started()
-        if any(self._runnable):
-            raise ValueError("cannot skip cycles while threads are runnable")
-        if cycles <= 0:
-            return
-        self._collect()
-        self._barrier()
-        for reply in self._broadcast([["skip_all", cycles]] * self.workers):
-            self._ingest(reply["nodes"])
-        self.dirty = True
-        now = self._now[0]
-        if self.machine._next_barrier <= now:
-            self.machine._next_barrier = now + self.machine.window
-
-    @property
     def now(self) -> int:
-        if not self._started:
-            return self.machine.chips[0].now
+        if self.authoritative:
+            return self._local.now()
         return max(self._now)
 
-    # -- workload verbs (post-start) -------------------------------------
+    def runnable(self) -> bool:
+        if self.authoritative:
+            return self._local.runnable()
+        return any(self._runnable)
 
-    def spawn_request(self, node: int, entry, kwargs: dict) -> int:
-        self._ensure_started()
-        reply = self._call(self._owner[node], ["spawn", node, entry, kwargs])
-        self._ingest(reply["nodes"])
-        self.dirty = True
-        return reply["tid"]
+    def faulted(self) -> bool:
+        if self.authoritative:
+            return self._local.faulted()
+        return any(self._faulted)
 
-    def retire_finished(self, pending: list[tuple[int, int]],
-                        result_reg: int) -> list[dict]:
-        """Retire the finished threads among ``pending`` (node, tid)
-        pairs, returned in ``pending`` order."""
-        self._ensure_started()
-        commands: list = [None] * self.workers
-        for node, tid in pending:
-            w = self._owner[node]
-            if commands[w] is None:
-                commands[w] = ["retire", [], result_reg]
-            per_node = commands[w][1]
-            if per_node and per_node[-1][0] == node:
-                per_node[-1][1].append(tid)
-            else:
-                per_node.append((node, [tid]))
-        by_key: dict[tuple[int, int], dict] = {}
-        for reply in self._broadcast(commands):
-            if reply is None:
-                continue
-            self._ingest(reply["nodes"])
-            for node, tid, state, halted_at, result in reply["finished"]:
-                by_key[(node, tid)] = {"node": node, "tid": tid,
-                                       "state": state,
-                                       "halted_at": halted_at,
-                                       "result": result}
-        self.dirty = True
-        return [by_key[key] for key in pending if key in by_key]
+    # -- the verbs ---------------------------------------------------------
 
-    def record_sample(self, node: int, name: str, value: int) -> None:
-        self._ensure_started()
-        self._call(self._owner[node], ["hist", node, name, value])
-        self.dirty = True
+    def advance(self, end: int, next_barrier: int, drain: bool) -> int:
+        return sum(self._all("advance", end, next_barrier, drain))
+
+    def step(self, cycles: int, next_barrier: int, drain: bool) -> int:
+        return sum(self._all("step", cycles, next_barrier, drain))
+
+    def collect(self) -> None:
+        self._all("collect")
+
+    def skip_to(self, target: int) -> None:
+        self._scatter("skip_to", [
+            [target] if any(self._now[n] < target for n in nodes) else None
+            for nodes in self.owned])
+
+    def skip_all(self, cycles: int) -> None:
+        self._all("skip_all", cycles)
+
+    def home_ops(self, home_ops: dict[int, list]) -> dict[int, list]:
+        replies: dict[int, list] = {}
+        for part in self._scatter("home_ops", self._split(home_ops)):
+            if part is not None:
+                replies.update(part)
+        return replies
+
+    def effects(self, per_node: dict[int, list]) -> None:
+        self._scatter("effects", self._split(per_node))
+
+    def spawn(self, node: int, entry, kwargs: dict) -> int:
+        return self._one("spawn", node, entry, kwargs)
+
+    def retire(self, pending, result_reg: int) -> dict:
+        parts: list = [None] * self.workers
+        for key in pending:
+            w = self._owner[key[0]]
+            if parts[w] is None:
+                parts[w] = [[], result_reg]
+            parts[w][0].append(key)
+        finished: dict = {}
+        for part in self._scatter("retire", parts):
+            if part is not None:
+                finished.update(part)
+        return finished
+
+    def hist(self, node: int, name: str, value: int) -> None:
+        self._one("hist", node, name, value)
 
     def emit(self, node: int, name: str, cycle: int, tid, dur,
              args: dict) -> None:
-        """Emit one event into ``node``'s hub, wherever it lives — the
-        owning worker's flight recorder (and any attached sinks) gets
-        it, exactly as a lockstep emit would."""
-        self._ensure_started()
-        self._call(self._owner[node], ["emit", node, name, cycle, tid,
-                                       dur, args])
-        self.dirty = True
+        self._one("emit", node, name, cycle, tid, dur, args)
 
-    def counters_per_node(self) -> dict[int, dict]:
-        """Every node's counter snapshot, pulled from its owning worker
-        (the time-series sampler's per-window read)."""
-        self._ensure_started()
+    def counters(self) -> dict[int, dict]:
         per_node: dict[int, dict] = {}
-        for reply in self._broadcast([["counters"]] * self.workers):
-            per_node.update({int(n): snap for n, snap in reply.items()})
+        for part in self._all("counters"):
+            per_node.update(part)
         return per_node
 
-    def counters_snapshot(self) -> dict:
-        return merge_snapshots(self.counters_per_node())
-
-    def span_collector(self) -> "_ParallelSpanCollector":
-        """Span-level recording across the shards: worker-side sinks
-        catch chip events (misses, faults, enter crossings, swap,
-        halts); coordinator-side sinks catch what only the coordinator
-        runs — ``router.hop`` from barrier planning and the serial
-        migration path's ``migrate.*``.  The two sets are disjoint, so
-        their union is exactly the lockstep engine's stream."""
-        self._ensure_started()
-        return _ParallelSpanCollector(self)
-
     def flight_dumps(self) -> dict[int, dict]:
-        self._ensure_started()
         dumps: dict[int, dict] = {}
-        for reply in self._broadcast([["flights"]] * self.workers):
-            dumps.update({int(n): d for n, d in reply.items()})
+        for part in self._all("flight_dumps"):
+            dumps.update(part)
         return dumps
 
-    # -- draining, snapshots, rebalancing --------------------------------
+    def trace_on(self) -> None:
+        """Span sinks on the worker-side hubs (chip events: misses,
+        faults, enter crossings, swap, halts) and on the coordinator's
+        (what only it runs).  The two sets are disjoint, so their union
+        is exactly the in-process engine's stream."""
+        self._all("trace_on")
+        self._local.trace_on()
 
-    def drain_to_barrier(self) -> None:
-        """Bring the machine to a message-quiet point: if any window
-        traffic is pending, advance to the next barrier and exchange it
-        (the documented save/migrate semantics for the sharded engine:
-        the clock may move forward by up to one window).  At a quiet
-        point — right after any barrier — this moves nothing."""
-        self._ensure_started()
-        self._collect()
-        if not self._msgbuf:
-            return
-        machine = self.machine
-        end = machine._next_barrier
-        if any(self._runnable) and max(self._now) < end:
-            self._advance(end, drain=True)
-            if any(self._runnable):
-                self._skip_to(end)
-            self._barrier()
-            machine._next_barrier += machine.window
-        else:
-            self._barrier()
-        # home-side demand paging at the barrier can evict (swap) and
-        # re-queue flush broadcasts; pull those into the coordinator
-        # buffer so a subsequent capture records them
-        self._collect()
-
-    def sync_back(self) -> None:
-        """Drain to a barrier and restore every node's true state into
-        the wrapped machine, making it authoritative again (for
-        capture, digesting, or migration)."""
-        self._ensure_started()
-        self.drain_to_barrier()
-        from repro.persist.image import restore_node
-
-        machine = self.machine
-        for reply in self._broadcast([["capture"]] * self.workers):
-            for n, node_state in reply["nodes"].items():
-                restore_node(machine.kernels[int(n)], node_state)
-            for n, seq in reply["seq"].items():
-                machine._seq[int(n)] = seq
-        # straggler messages live in the coordinator buffer; mirror
-        # them into the machine's outboxes so a capture carries them
-        # (the buffer itself stays queued for the next barrier)
-        machine._outbox = [[] for _ in machine.chips]
-        for msg in sorted(self._msgbuf, key=lambda m: (m[1], m[2], m[3])):
-            machine._outbox[msg[2]].append(msg)
-        self.dirty = False
-
-    def capture_state(self) -> dict:
-        from repro.persist.image import capture_multicomputer
-
-        self.sync_back()
-        return capture_multicomputer(self.machine)
-
-    def rebalance(self, owned: list[list[int]] | None = None) -> None:
-        """Re-shard: drain, sync the machine, optionally install a new
-        ownership map, and warm-start every worker from the fresh
-        snapshot.  The window protocol makes execution independent of
-        the map, so this is bit-exact."""
-        self.sync_back()
-        if owned is not None:
-            flat = sorted(n for nodes in owned for n in nodes)
-            if flat != list(range(len(self.machine.chips))) or \
-                    len(owned) != self.workers:
-                raise ValueError(
-                    "ownership map must cover every node exactly once "
-                    "across the existing workers")
-            self.owned = [list(nodes) for nodes in owned]
-            self._owner = {n: w for w, nodes in enumerate(self.owned)
-                           for n in nodes}
-        self._reship()
-
-    def _reship(self) -> None:
-        from repro.persist.image import capture_multicomputer
-
-        payload = capture_multicomputer(self.machine)
-        self._msgbuf = []  # rides inside the payload's outboxes now
-        replies = self._broadcast([["reload", payload, self.owned[w]]
-                                   for w in range(self.workers)])
-        for reply in replies:
-            self._ingest(reply["nodes"])
-
-    # -- migration -------------------------------------------------------
-
-    def migrate(self, process, destination: int, pin=()):
-        """Live-migrate ``process``: drain to a barrier, sync the
-        machine, re-bind the process's thread handles to the restored
-        thread objects, run the serial migration there, and warm-start
-        the workers from the result.  The drain means the clock may sit
-        up to one window past where a serial engine would have migrated
-        — bit-equality with lockstep is guaranteed for non-migrating
-        workloads and preserved *from this point on* for migrating
-        ones."""
-        from repro.persist.migrate import MigrationError, MigrationService
-        from repro.persist.state import threads_by_tid
-
-        self.sync_back()
-        mapping = threads_by_tid(process.kernel.chip)
-        missing = [t.tid for t in process.threads if t.tid not in mapping]
-        if missing:
-            raise MigrationError(
-                f"threads {missing} are not resident on the process's node")
-        process.threads = [mapping[t.tid] for t in process.threads]
-        report = MigrationService(self.machine).migrate(process, destination,
-                                                        pin)
-        self._reship()
-        self.dirty = True
-        return report
-
-
-class _ParallelSpanCollector:
-    """Worker-side span sinks plus coordinator-side sinks, drained as
-    one event list (see :meth:`ParallelMulticomputer.span_collector`)."""
-
-    def __init__(self, engine: ParallelMulticomputer):
-        from repro.obs.requests import LockstepSpanCollector
-
-        self._engine = engine
-        # coordinator chips never advance, but their hubs receive
-        # router.hop (barrier planning) and migrate/swap events from
-        # the serial migration path run after sync_back
-        self._local = LockstepSpanCollector(
-            [chip.obs for chip in engine.machine.chips])
-        engine._broadcast([["trace_on"]] * engine.workers)
-        self._drained = None
-
-    def drain(self):
-        from repro.obs.events import decode_event
-
-        if self._drained is None:
-            events = list(self._local.drain())
-            replies = self._engine._broadcast(
-                [["trace_drain"]] * self._engine.workers)
-            for reply in replies:
-                for _, encoded in sorted(reply["events"].items()):
-                    events.extend(decode_event(e) for e in encoded)
-            self._drained = events
-        return self._drained
+    def trace_drain(self) -> list:
+        events = self._local.trace_drain()
+        for part in self._all("trace_drain"):
+            events.extend(part)
+        return events

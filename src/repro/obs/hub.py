@@ -29,7 +29,7 @@ ring into crash dumps; :class:`TraceSession` is the user-facing sink
 behind ``Simulation.trace()`` and ``repro trace``.
 
 Emission never changes machine state: cycle counts with tracing on and
-off are bit-identical, and the tracer parity tests and the
+off are bit-identical, and the trace parity tests and the
 tracing-overhead benchmark police that continuously.
 
 ``hub.hot`` is also the gate superblock turbo execution respects

@@ -9,7 +9,7 @@ faults, enter crossings, migration) stream into per-node sinks
 attached with ``hot=False``, so the per-bundle path stays dark and
 superblock turbo stays engaged.  On the sharded engine the sinks live
 in the worker processes (plus the coordinator, which owns the mesh
-network and the serial migration path) and drain over RPC.
+network and the migration path) and drain over the pipes.
 
 :func:`assemble_tail` then folds the records and events into the
 slowest-K requests, each decomposed along its critical path into named
@@ -148,23 +148,20 @@ class RequestTraceRecorder:
         return assemble_tail(self.records, self.finish(), k)
 
 
-class LockstepSpanCollector:
-    """Span-level sinks on every hub of an in-process machine."""
+class SpanCollector:
+    """Span-level sinks on every node's hub, wherever the node lives —
+    attached and drained through the machine's shard transport
+    (``trace_on``/``trace_drain``, see
+    :class:`repro.machine.multicomputer.LocalShards`)."""
 
-    def __init__(self, hubs):
-        self._hubs = list(hubs)
-        self._sinks: list[list] = [[] for _ in self._hubs]
-        for hub, sink in zip(self._hubs, self._sinks):
-            hub.attach(sink, hot=False)
+    def __init__(self, shards):
+        self._shards = shards
+        shards.trace_on()
         self._drained: list[TraceEvent] | None = None
 
     def drain(self) -> list[TraceEvent]:
         if self._drained is None:
-            events: list[TraceEvent] = []
-            for hub, sink in zip(self._hubs, self._sinks):
-                hub.detach(sink)
-                events.extend(sink)
-            self._drained = events
+            self._drained = self._shards.trace_drain()
         return self._drained
 
 

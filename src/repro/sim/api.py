@@ -43,6 +43,7 @@ from repro.core.pointer import GuardedPointer
 from repro.machine.assembler import Program
 from repro.machine.chip import ChipConfig, MAPChip, RunResult
 from repro.machine.counters import PerfCounters
+from repro.machine.multicomputer import LocalShards, Multicomputer
 from repro.machine.thread import Thread
 from repro.runtime.kernel import Kernel
 
@@ -100,8 +101,6 @@ class Simulation:
         if shape is None and nodes > 1:
             shape = mesh_shape_for(nodes)
         if shape is not None:
-            from repro.machine.multicomputer import Multicomputer
-
             kwargs = {} if arena_order is None else {
                 "arena_order": arena_order}
             self.machine = Multicomputer(
@@ -110,22 +109,26 @@ class Simulation:
                 **kwargs)
             self.chips = self.machine.chips
             self.kernels = self.machine.kernels
+            if workers > 1:
+                from repro.machine.parallel import ParallelMulticomputer
+
+                self.machine.shards = ParallelMulticomputer(self.machine,
+                                                            workers)
+            self._clock = self.machine
+            self._shards = self.machine.shards
         else:
             if arena_order is not None:
                 raise ValueError("arena_order only applies to a mesh")
+            if workers > 1:
+                raise SimulationError(
+                    "workers > 1 needs a mesh: a single node has nothing "
+                    "to shard")
             self.machine = None
             chip = MAPChip(self.config)
             self.chips = [chip]
             self.kernels = [Kernel(chip)]
-        self._engine = None
-        if workers > 1:
-            if self.machine is None:
-                raise SimulationError(
-                    "workers > 1 needs a mesh: a single node has nothing "
-                    "to shard")
-            from repro.machine.parallel import ParallelMulticomputer
-
-            self._engine = ParallelMulticomputer(self.machine, workers)
+            self._clock = chip
+            self._shards = LocalShards(self)
 
     @classmethod
     def mesh(cls, shape=None, config: ChipConfig | None = None,
@@ -147,26 +150,31 @@ class Simulation:
         sim.machine = machine
         sim.chips = machine.chips
         sim.kernels = machine.kernels
-        sim._engine = None
+        sim._clock = machine
+        sim._shards = machine.shards
         return sim
 
-    # -- the sharded engine (repro.machine.parallel) ------------------------
+    # -- the shard transport (repro.machine.parallel) ------------------------
 
     @property
     def workers(self) -> int:
         """OS worker processes the clock runs across (1 = lockstep)."""
-        return 1 if self._engine is None else self._engine.workers
+        return self._shards.workers
 
     @property
     def engine(self):
-        """The sharded coordinator, or ``None`` on the lockstep engine."""
-        return self._engine
+        """The shard transport the facade's verbs run over: in-process
+        (:class:`~repro.machine.multicomputer.LocalShards`) or, with
+        ``workers > 1``, the worker pipes
+        (:class:`~repro.machine.parallel.ParallelMulticomputer`)."""
+        return self._shards
 
-    def _guard_sharded(self, what: str) -> None:
-        """Forbid direct machine access once worker state has advanced
-        past the in-process machine's (the mirror is stale)."""
-        if self._engine is not None and self._engine.started \
-                and self._engine.dirty:
+    def _guard_direct(self, what: str) -> None:
+        """Direct machine access is legal only while the in-process
+        machine is authoritative: always on the lockstep engine, and on
+        the sharded one before the workers start or after
+        :meth:`sync_back` (the next verb then ships the edits)."""
+        if not self._shards.authoritative:
             raise SimulationError(
                 f"{what}: the machine is sharded across worker processes "
                 f"and the in-process copy is stale; use the facade verbs "
@@ -176,26 +184,25 @@ class Simulation:
     def sync_back(self) -> None:
         """Make the in-process machine authoritative again: on the
         sharded engine, drain to a window barrier and pull every node's
-        state back (no-op on the lockstep engine)."""
-        if self._engine is not None and self._engine.started:
-            self._engine.sync_back()
+        state back (no-op on the lockstep engine).  Direct access and
+        edits are legal until the next verb, which ships the machine
+        back to the workers."""
+        self._shards.sync_back()
 
     def close(self) -> None:
         """Stop worker processes, if any (no-op on the lockstep
         engine).  The in-process machine keeps the state of the last
         :meth:`sync_back`."""
-        if self._engine is not None:
-            self._engine.close()
+        self._shards.close()
 
     def rebalance(self, owned: list[list[int]] | None = None) -> None:
         """Re-shard node ownership across the workers (sharded engine
         only): drain, sync, and warm-start every worker from the fresh
         snapshot — bit-exact, since the window protocol makes execution
         independent of the ownership map."""
-        if self._engine is None:
+        if self.workers == 1:
             raise SimulationError("rebalance needs workers > 1")
-        self._engine._ensure_started()
-        self._engine.rebalance(owned)
+        self._shards.rebalance(owned)
 
     # -- machine shape -----------------------------------------------------
 
@@ -249,7 +256,7 @@ class Simulation:
         """Assemble-and-install a program on ``node``; returns its entry
         pointer.  Keyword arguments pass through to
         ``Kernel.load_program`` (``perm``, ``patches``)."""
-        self._guard_sharded("load")
+        self._guard_direct("load")
         return self.kernels[self._check_node(node)].load_program(
             program, **kwargs)
 
@@ -257,7 +264,7 @@ class Simulation:
                  **kwargs) -> GuardedPointer:
         """A fresh data segment homed on ``node`` (``perm``/``eager``
         pass through)."""
-        self._guard_sharded("allocate")
+        self._guard_direct("allocate")
         return self.kernels[self._check_node(node)].allocate_segment(
             nbytes, **kwargs)
 
@@ -272,7 +279,7 @@ class Simulation:
         ``stack_bytes``).  On a started sharded machine use
         :meth:`spawn_request` instead (it returns a tid, not a live
         thread object)."""
-        self._guard_sharded("spawn")
+        self._guard_direct("spawn")
         if not isinstance(entry, GuardedPointer):
             entry = self.load(entry, node=node or 0)
         if node is None:
@@ -296,36 +303,26 @@ class Simulation:
         """Run to completion — every node in lockstep on a mesh (see
         :meth:`MAPChip.run` / :meth:`Multicomputer.run`), sharded
         across OS processes with ``workers > 1``."""
-        if self._engine is not None:
-            return self._engine.run(max_cycles)
-        target = self.machine if self.machine is not None else self.chip
-        return target.run(max_cycles)
+        return self._clock.run(max_cycles)
 
     def step(self, cycles: int = 1) -> int:
         """Advance the clock ``cycles`` cycles (lockstep across nodes);
         returns bundles issued."""
-        if self._engine is not None:
-            return self._engine.step_many(cycles)
-        target = self.machine if self.machine is not None else self.chip
+        if self.machine is not None:
+            return self.machine.step(cycles)
         issued = 0
         for _ in range(cycles):
-            issued += target.step()
+            issued += self.chip.step()
         return issued
 
     def advance_idle(self, cycles: int) -> None:
         """Skip guaranteed-idle cycles (only legal when nothing is
         runnable; see :meth:`MAPChip.advance_idle`)."""
-        if self._engine is not None:
-            self._engine.advance_idle(cycles)
-            return
-        target = self.machine if self.machine is not None else self.chip
-        target.advance_idle(cycles)
+        self._clock.advance_idle(cycles)
 
     @property
     def now(self) -> int:
-        if self._engine is not None:
-            return self._engine.now
-        return self.chips[0].now
+        return self._shards.now()
 
     # -- engine-neutral request handles -------------------------------------
     # (the service load driver runs on these, so the same driver code
@@ -337,13 +334,9 @@ class Simulation:
         """Spawn a request thread on ``node`` and return its tid — a
         handle that stays valid on both engines (a live
         :class:`Thread` object would not cross a process boundary)."""
-        node = self._check_node(node)
-        if self._engine is not None and self._engine.started:
-            return self._engine.spawn_request(
-                node, entry, {"domain": domain, "regs": regs,
-                              "stack_bytes": stack_bytes})
-        return self.kernels[node].spawn(entry, domain=domain, regs=regs,
-                                        stack_bytes=stack_bytes).tid
+        return self._shards.spawn(
+            self._check_node(node), entry,
+            {"domain": domain, "regs": regs, "stack_bytes": stack_bytes})
 
     def retire_finished(self, pending, result_reg: int = 5) -> list[dict]:
         """Retire the finished threads among ``pending`` — an iterable
@@ -354,35 +347,14 @@ class Simulation:
         HALT).  Still-running handles are left alone; a handle whose
         thread the kernel already reaped reports as FAULTED."""
         pending = list(pending)
-        if self._engine is not None and self._engine.started:
-            return self._engine.retire_finished(pending, result_reg)
-        from repro.machine.parallel import retire_on_chip
-
-        per_node: list[tuple[int, list[int]]] = []
-        for node, tid in pending:
-            if per_node and per_node[-1][0] == node:
-                per_node[-1][1].append(tid)
-            else:
-                per_node.append((self._check_node(node), [tid]))
-        by_key = {}
-        for node, tids in per_node:
-            for tid, state, halted_at, result in retire_on_chip(
-                    self.chips[node], tids, result_reg):
-                by_key[(node, tid)] = {"node": node, "tid": tid,
-                                       "state": state,
-                                       "halted_at": halted_at,
-                                       "result": result}
-        return [by_key[key] for key in pending if key in by_key]
+        finished = self._shards.retire(pending, result_reg)
+        return [finished[key] for key in pending if key in finished]
 
     def record_sample(self, node: int, name: str, value: int) -> None:
         """Add one sample to ``node``'s named histogram (created on
         first use; see :meth:`repro.obs.hub.TraceHub.add_histogram`) —
         works on both engines."""
-        node = self._check_node(node)
-        if self._engine is not None and self._engine.started:
-            self._engine.record_sample(node, name, value)
-            return
-        self.chips[node].obs.add_histogram(name).add(value)
+        self._shards.hist(self._check_node(node), name, value)
 
     def emit(self, node: int, name: str, cycle: int, *,
              tid: int | None = None, dur: int | None = None,
@@ -392,20 +364,14 @@ class Simulation:
         service driver threads ``request.admit``/``request.done``
         instants into the event stream; ``name`` should come from
         :data:`repro.obs.EVENT_NAMES`."""
-        node = self._check_node(node)
-        if self._engine is not None and self._engine.started:
-            self._engine.emit(node, name, cycle, tid, dur, args)
-            return
-        self.chips[node].obs.emit(name, cycle, tid=tid, dur=dur, **args)
+        self._shards.emit(self._check_node(node), name, cycle, tid, dur,
+                          args)
 
     def counters_per_node(self) -> dict[int, dict]:
         """Each node's (unmerged) counter snapshot — on a started
         sharded machine pulled from the owning workers over RPC.  The
         time-series sampler reads this at every window boundary."""
-        if self._engine is not None and self._engine.started:
-            return self._engine.counters_per_node()
-        return {n: chip.counters.snapshot()
-                for n, chip in enumerate(self.chips)}
+        return self._shards.counters()
 
     # -- results and counters ---------------------------------------------
 
@@ -422,7 +388,7 @@ class Simulation:
 
     def counters_of(self, node: int) -> PerfCounters:
         """One node's performance-counter file."""
-        self._guard_sharded("counters_of")
+        self._guard_direct("counters_of")
         return self.chips[self._check_node(node)].counters
 
     def snapshot(self) -> dict[str, int | float]:
@@ -431,8 +397,6 @@ class Simulation:
         nodes, ``node<N>.*`` names stay per-node (see
         :func:`repro.machine.counters.merge_snapshots`).  On a started
         sharded machine the workers' files are merged over RPC."""
-        if self._engine is not None and self._engine.started:
-            return self._engine.counters_snapshot()
         if self.machine is not None:
             return self.machine.counters_snapshot()
         return self.chip.counters.snapshot()
@@ -446,7 +410,7 @@ class Simulation:
 
     @property
     def threads(self) -> list[Thread]:
-        self._guard_sharded("threads")
+        self._guard_direct("threads")
         return [t for chip in self.chips for t in chip.all_threads()]
 
     # -- structured tracing (repro.obs) -------------------------------------
@@ -464,7 +428,7 @@ class Simulation:
             session.save_chrome("trace.json")   # ui.perfetto.dev
             print(session.text())               # greppable timeline
         """
-        if self._engine is not None:
+        if self.workers > 1:
             raise SimulationError(
                 "tracing needs the lockstep engine: a session cannot "
                 "attach to chips living in worker processes (not even "
@@ -483,11 +447,9 @@ class Simulation:
         and cold events only, per-bundle path stays dark, superblock
         turbo stays engaged) — works on both engines; the request
         tracer builds on this.  Returns an object with ``drain()``."""
-        if self._engine is not None:
-            return self._engine.span_collector()
-        from repro.obs.requests import LockstepSpanCollector
+        from repro.obs.requests import SpanCollector
 
-        return LockstepSpanCollector([chip.obs for chip in self.chips])
+        return SpanCollector(self._shards)
 
     def record_requests(self) -> "RequestTraceRecorder":
         """A request-scoped trace recorder for a service run: hand it
@@ -518,11 +480,18 @@ class Simulation:
         machines only; see
         :class:`repro.persist.migrate.MigrationService`).  ``pin``
         lists pointers whose segments stay home."""
-        machine = self._require_mesh("migrate")
-        if self._engine is not None and self._engine.started:
-            return self._engine.migrate(process, destination, pin)
-        from repro.persist.migrate import MigrationService
+        from repro.persist.migrate import MigrationError, MigrationService
+        from repro.persist.state import threads_by_tid
 
+        machine = self._require_mesh("migrate")
+        self.sync_back()
+        # a sync back rebuilds thread objects; rebind the handles by tid
+        mapping = threads_by_tid(process.kernel.chip)
+        missing = [t.tid for t in process.threads if t.tid not in mapping]
+        if missing:
+            raise MigrationError(
+                f"threads {missing} are not resident on the process's node")
+        process.threads = [mapping[t.tid] for t in process.threads]
         return MigrationService(machine).migrate(
             process, destination=destination, pin=pin)
 
@@ -535,8 +504,7 @@ class Simulation:
         to the barrier first (the clock may advance by up to one
         window), then syncs every shard back; the image is
         engine-neutral and restores onto either engine."""
-        if self._engine is not None and self._engine.started:
-            return self._engine.capture_state()
+        self.sync_back()
         if self.machine is not None:
             return self.machine.capture_state()
         from repro.persist.image import capture_simulation
@@ -546,10 +514,7 @@ class Simulation:
     def restore_state(self, state: dict) -> None:
         """Overwrite this machine's state with a captured image (the
         machine must have the image's shape)."""
-        if self._engine is not None and self._engine.started:
-            raise SimulationError(
-                "cannot restore into running workers; build a fresh "
-                "Simulation from the image instead")
+        self._guard_direct("restore_state")
         if self.machine is not None:
             self.machine.restore_state(state)
             return
@@ -569,10 +534,7 @@ class Simulation:
         sharded machine drains to its window barrier first; the image
         is engine-neutral, so a parallel-captured file restores into a
         lockstep simulation bit-identically (and vice versa)."""
-        if self._engine is not None and self._engine.started:
-            from repro.persist.snapshot import write_snapshot
-
-            return write_snapshot(self._engine.capture_state(), path)
+        self.sync_back()
         if self.machine is not None:
             from repro.persist.image import save_multicomputer
 
@@ -590,7 +552,6 @@ class Simulation:
         ``superblock``);
         architectural overrides are rejected.  (Named ``restore``
         because ``load`` is the facade's program loader.)"""
-        from repro.machine.multicomputer import Multicomputer
         from repro.persist.image import load_machine
 
         machine = load_machine(path, **overrides)

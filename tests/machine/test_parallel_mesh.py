@@ -11,10 +11,14 @@ the matching point before comparing gauge counters.
 """
 
 import hashlib
+import os
+import signal
+import time
 
 import pytest
 
-from repro.machine.parallel import partition_nodes
+from repro.machine.chip import RunReason
+from repro.machine.parallel import ParallelError, partition_nodes
 from repro.persist.snapshot import encode_snapshot
 from repro.sim.api import Simulation, SimulationError
 
@@ -226,3 +230,88 @@ class TestGuards:
             assert sim.threads  # readable again without raising
         finally:
             sim.close()
+
+
+def run_r5_thread(sim):
+    """Spawn a two-cycle thread on node 1 directly, run, and return
+    (cycles, reason, r5) read back through the in-process machine."""
+    tid = sim.spawn("movi r5, 42\nhalt", node=1).tid
+    result = sim.run()
+    sim.sync_back()
+    thread = next(t for t in sim.threads if t.tid == tid)
+    return result.cycles, result.reason, thread.regs.read(5).value
+
+
+class TestDirectEdits:
+    """The in-process machine is authoritative before the workers start
+    and after sync_back(); direct edits made then reach the workers,
+    and direct edits at any other time fail loudly."""
+
+    def test_spawn_after_sync_back_reaches_the_workers(self):
+        outcomes = []
+        for workers in (1, 2):
+            sim = Simulation(nodes=2, memory_bytes=2 * 1024 * 1024,
+                             arena_order=24, workers=workers)
+            try:
+                sim.run()
+                sim.sync_back()
+                outcomes.append(run_r5_thread(sim))
+            finally:
+                sim.close()
+        assert outcomes[0] == (2, RunReason.HALTED, 42)
+        assert outcomes[1] == outcomes[0]
+
+    def test_spawn_after_start_raises_until_sync_back(self):
+        sim = Simulation(nodes=2, memory_bytes=2 * 1024 * 1024,
+                         arena_order=24, workers=2)
+        try:
+            sim.engine.start()
+            with pytest.raises(SimulationError):
+                sim.spawn("movi r5, 42\nhalt", node=1)
+            sim.sync_back()
+            assert run_r5_thread(sim) == (2, RunReason.HALTED, 42)
+        finally:
+            sim.close()
+
+
+class TestHostFailures:
+    """A dead or failing worker surfaces as ParallelError at once, and
+    the engine stays closed afterwards."""
+
+    def test_killed_worker_fails_fast_and_closes_the_engine(self):
+        sim = build_cross(workers=2)
+        try:
+            sim.step(1)  # the workers are up
+            procs = list(sim.engine._procs)
+            os.kill(procs[1].pid, signal.SIGKILL)
+            began = time.monotonic()
+            with pytest.raises(ParallelError):
+                sim.run()
+            assert time.monotonic() - began < 3
+            assert not any(proc.is_alive() for proc in procs)
+            for call in (sim.run, lambda: sim.step(1), sim.snapshot,
+                         sim.sync_back):
+                with pytest.raises(ParallelError,
+                                   match="the parallel engine is closed"):
+                    call()
+        finally:
+            sim.close()
+
+    def test_worker_exception_fails_fast_with_crash_artifacts(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CRASH_DIR", str(tmp_path))
+        sim = build_cross(workers=2)
+        data = sim.allocate(4096, node=1)  # not an execute pointer
+        try:
+            sim.engine.start()
+            procs = list(sim.engine._procs)
+            began = time.monotonic()
+            with pytest.raises(ParallelError):
+                sim.spawn_request(1, data)
+            assert time.monotonic() - began < 3
+            assert not any(proc.is_alive() for proc in procs)
+        finally:
+            sim.close()
+        crash = tmp_path / "parallel-worker-1"
+        assert "ValueError" in (crash / "traceback.txt").read_text()
+        assert (crash / "flight-node1.json").exists()

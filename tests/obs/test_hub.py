@@ -2,10 +2,13 @@
 
 import json
 
+import pytest
+
 from repro.core.permissions import Permission
 from repro.core.pointer import GuardedPointer
 from repro.obs import (FLIGHT_CAPACITY, HISTOGRAM_NAMES, FlightRecorder,
                        TraceEvent, TraceHub, TraceSession, load_flight)
+from repro.sim.api import Simulation
 
 
 class TestFlightRecorder:
@@ -170,3 +173,44 @@ class TestTraceSession:
         session.stop()
         session.stop()
         assert not hub.hot
+
+
+class TestTraceParity:
+    """Recording a full trace session must never change cycle counts —
+    under every combination of the decode-cache and data-fast-path
+    knobs (a hot sink also keeps superblock turbo off, so this compares
+    the per-cycle path against turbo too)."""
+
+    WORKLOAD = """
+        movi r2, 6
+    loop:
+        ld r3, r1, 0
+        st r3, r1, 8
+        subi r2, r2, 1
+        bne r2, loop
+        halt
+    """
+
+    def run_workload(self, decode_cache, data_fast_path, traced):
+        sim = Simulation(memory_bytes=2 * 1024 * 1024,
+                         decode_cache=decode_cache,
+                         data_fast_path=data_fast_path)
+        data = sim.allocate(4096)
+        sim.spawn(self.WORKLOAD, regs={1: data.word}, stack_bytes=0)
+        if not traced:
+            return sim.run().cycles
+        with sim.trace() as session:
+            cycles = sim.run().cycles
+        # the traced run actually recorded the issue stream
+        assert any(e.name == "bundle" for e in session.events)
+        return cycles
+
+    @pytest.mark.parametrize("decode_cache", [True, False])
+    @pytest.mark.parametrize("data_fast_path", [True, False])
+    def test_traced_and_untraced_cycles_identical(self, decode_cache,
+                                                  data_fast_path):
+        untraced = self.run_workload(decode_cache, data_fast_path,
+                                     traced=False)
+        traced = self.run_workload(decode_cache, data_fast_path,
+                                   traced=True)
+        assert traced == untraced

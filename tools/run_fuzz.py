@@ -2,14 +2,16 @@
 """Drive a differential-fuzzing campaign from the command line.
 
 Runs seeded random programs through every diff axis — chip versus the
-reference interpreter, decode-cache on/off, data-fast-path on/off, and
-uninterrupted versus snapshot/restore-replayed — and exits non-zero on
-any divergence.  The default invocation is the fixed-seed smoke run the
-test suite wires in as a tier-1 check::
+reference interpreter, decode-cache on/off, data-fast-path on/off,
+superblock turbo on/off, uninterrupted versus snapshot/restore-replayed,
+and (for the scenarios a two-node mesh can host) the ``workers=2``
+pipes versus the in-process engine — and exits non-zero on any
+divergence.  The fixed-seed smoke run the test suite wires in as a
+tier-1 check is::
 
     python tools/run_fuzz.py --seed 0 --cases 50
 
-The acceptance bar for the fuzzing PR is the longer run::
+The acceptance bar, which CI runs, is the longer run::
 
     python tools/run_fuzz.py --seed 0 --cases 200
 
