@@ -1,12 +1,14 @@
 """The hot-path acceptance benchmark: simulated cycles per second.
 
-Compares the reworked run loop (decoded-bundle cache + incremental
-scheduler counts + idle fast-forward) against a faithful replica of the
-pre-rework loop — which rebuilt ``all_threads()`` lists every cycle and
-re-walked/re-decoded every fetch — on the E5 multithreading workload.
-Both runs must agree on the simulated cycle count exactly (the
-optimizations are timing-model-transparent); the optimized loop must be
-at least twice as fast in wall-clock terms.
+Compares the reworked run loop with every shortcut on (decoded-bundle
+cache, memos, incremental scheduler counts, idle fast-forward) against
+a faithful replica of the pre-rework loop — which rebuilt
+``all_threads()`` lists every cycle — driving a ``fast_paths=False``
+chip, which re-walks and re-decodes every fetch, on the E5
+multithreading workload.  Both runs must agree on the simulated cycle
+count exactly (the optimizations are timing-model-transparent); the
+optimized loop must be at least twice as fast in wall-clock terms, and
+the decode cache must answer at least 99% of its fetches.
 
 ``tools/run_benchmarks.py`` imports :func:`measure` to record the
 numbers into ``BENCH_pr1.json``.
@@ -35,8 +37,7 @@ def build_chip(optimized: bool, threads: int = THREADS,
     chip = MAPChip(ChipConfig(
         memory_bytes=4 * 1024 * 1024,
         threads_per_cluster=max(threads, 1),
-        decode_cache=optimized,
-        idle_fast_forward=optimized,
+        fast_paths=optimized,
     ))
     kernel = Kernel(chip)
     source = WORKER.format(iterations=iterations)
@@ -89,6 +90,7 @@ def measure(threads: int = THREADS, iterations: int = ITERATIONS) -> dict:
 
     legacy_rate = legacy_cycles / legacy_wall
     new_rate = result.cycles / new_wall
+    hit_share = chip.fetch_hits / (chip.fetch_hits + chip.fetch_misses)
     return {
         "workload": f"e5 ({threads} threads x {iterations} iterations)",
         "legacy_cycles": legacy_cycles,
@@ -101,6 +103,8 @@ def measure(threads: int = THREADS, iterations: int = ITERATIONS) -> dict:
         "cycles_equal": legacy_cycles == result.cycles,
         "fetch_hits": chip.fetch_hits,
         "fetch_misses": chip.fetch_misses,
+        "decode_hit_share": hit_share,
+        "decode_hits_engaged": hit_share >= 0.99,
     }
 
 
@@ -115,7 +119,9 @@ def test_cycle_loop_speedup(benchmark):
         f"{r['new_cycles_per_s']:>12,.0f}",
         "",
         f"speedup {r['speedup']:.2f}x; cycle counts "
-        f"{'identical' if r['cycles_equal'] else 'DIFFER'}",
+        f"{'identical' if r['cycles_equal'] else 'DIFFER'}; decode cache "
+        f"answered {r['decode_hit_share']:.2%} of fetches",
     ]))
     assert r["cycles_equal"], "optimizations changed the timing model"
+    assert r["decode_hits_engaged"], "the decode cache stopped engaging"
     assert r["speedup"] >= 2.0, f"only {r['speedup']:.2f}x over the pre-rework loop"

@@ -1,13 +1,14 @@
 """The data-path fast-path acceptance benchmark: simulated cycles/s.
 
 Streams loads and stores through one guarded pointer — a memory
-operation in nearly every bundle — and compares ``data_fast_path=True``
-(access-check memo + translation line memo + flat tagged memory probes)
-against ``data_fast_path=False`` (full LEA/permission re-derivation and
-a page-table walk on every access).  Both runs must agree on the
-simulated cycle count exactly (the memos are timing-model-transparent);
-the fast path must be at least twice as fast in wall-clock terms, and
-the memo counters must tile the cache's access count exactly.
+operation in nearly every bundle — and compares ``fast_paths=True``
+(access-check memo + translation line memo, with the decode cache and
+superblock traces) against ``fast_paths=False`` (full LEA/permission
+re-derivation and a page-table walk on every access, every bundle
+decoded per fetch).  Both runs must agree on the simulated cycle count
+exactly (the shortcuts are timing-model-transparent); the fast side
+must be at least twice as fast in wall-clock terms, and the memo
+counters must tile the cache's access count exactly.
 
 ``tools/run_benchmarks.py`` imports :func:`measure` to record the
 numbers into ``BENCH_pr3.json``.
@@ -17,17 +18,11 @@ from __future__ import annotations
 
 import time
 
-from repro.core.permissions import Permission
-from repro.core.pointer import GuardedPointer
-from repro.machine.assembler import assemble
-from repro.machine.chip import ChipConfig, MAPChip, RunReason
-from repro.mem.allocator import round_up_log2
+from repro.fuzz.differ import setup_chip
+from repro.machine.chip import MAPChip, RunReason
 
 from benchmarks.conftest import emit
 
-CODE_BASE = 0x10000
-DATA_BASE = 0x40000
-DATA_BYTES = 4096
 ITERATIONS = 6000
 MAX_CYCLES = 5_000_000
 
@@ -60,23 +55,10 @@ done:
 
 def build_chip(fast_path: bool, iterations: int = ITERATIONS) -> MAPChip:
     """A bare chip with the stream program loaded and its data segment
-    in r8 (same layout as the fuzzer's ``setup_chip``, minus the
-    kernel, so nothing but the stream touches the cache)."""
-    program = assemble(STREAM.format(iterations=iterations))
-    # superblock pinned off on both sides: this benchmark isolates the
-    # data-path memos; bench_superblock.py owns the superblock axis
-    chip = MAPChip(ChipConfig(memory_bytes=2 * 1024 * 1024,
-                              data_fast_path=fast_path,
-                              superblock=False))
-    chip.page_table.ensure_mapped(CODE_BASE, max(program.size_bytes, 8))
-    for i, word in enumerate(program.encode()):
-        chip.memory.store_word(chip.page_table.walk(CODE_BASE + i * 8), word)
-    chip.page_table.ensure_mapped(DATA_BASE, DATA_BYTES)
-    seglen = max(round_up_log2(max(program.size_bytes, 1)), 3)
-    entry = GuardedPointer.make(Permission.EXECUTE_USER, seglen, CODE_BASE)
-    data = GuardedPointer.make(Permission.READ_WRITE,
-                               round_up_log2(DATA_BYTES), DATA_BASE)
-    chip.spawn(entry, regs={8: data.word})
+    in r8 (the fuzzer's ``setup_chip``: no kernel, so nothing but the
+    stream touches the cache)."""
+    chip, _, _, _ = setup_chip(STREAM.format(iterations=iterations),
+                               fast_paths=fast_path)
     return chip
 
 

@@ -22,9 +22,8 @@ Usage (``python -m repro <command> ...``):
   and save the whole machine to a snapshot file.
 * ``restore SNAP``         — rebuild the machine from a snapshot and
   resume it to completion (``--info`` prints the header and stops;
-  ``--no-decode-cache``/``--no-data-fast-path``/``--no-superblock``
-  flip the speed knobs,
-  which a snapshot explicitly permits).
+  ``--no-fast-paths`` resumes on the plain per-cycle machine, which a
+  snapshot explicitly permits).
 * ``replay DUMP.json``     — re-run a fuzz crash dump through every
   diff axis; exits 0 when the bug no longer reproduces.
 * ``serve``                — run the multi-tenant KV service under
@@ -248,13 +247,7 @@ def cmd_restore(args: argparse.Namespace) -> int:
         for key in sorted(header):
             print(f"{key}: {header[key]}")
         return 0
-    overrides = {}
-    if args.no_decode_cache:
-        overrides["decode_cache"] = False
-    if args.no_data_fast_path:
-        overrides["data_fast_path"] = False
-    if args.no_superblock:
-        overrides["superblock"] = False
+    overrides = {"fast_paths": False} if args.no_fast_paths else {}
     # single-node and mesh images both come back behind the facade
     sim = Simulation.restore(args.snapshot, **overrides)
     print(f"; restored {header['kind']} snapshot at cycle {sim.now}")
@@ -521,12 +514,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rest.add_argument("--counters", action="store_true",
                         help="print the perf counters after the run")
     p_rest.add_argument("--max-cycles", type=int, default=1_000_000)
-    p_rest.add_argument("--no-decode-cache", action="store_true",
-                        help="resume with the decoded-bundle cache off")
-    p_rest.add_argument("--no-data-fast-path", action="store_true",
-                        help="resume with the data-path memos off")
-    p_rest.add_argument("--no-superblock", action="store_true",
-                        help="resume with superblock turbo execution off")
+    p_rest.add_argument("--no-fast-paths", action="store_true",
+                        help="resume on the plain per-cycle machine "
+                             "(every simulator shortcut off)")
     p_rest.set_defaults(func=cmd_restore)
 
     p_replay = sub.add_parser(

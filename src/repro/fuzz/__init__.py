@@ -1,12 +1,13 @@
 """Differential fuzzing of the MAP simulator.
 
-Two independent oracles keep the chip honest:
+Four axes keep the chip honest:
 
 * the :class:`~repro.machine.reference.ReferenceInterpreter`, a
   flat-memory sequential model run in lockstep with the chip;
-* the chip itself with ``decode_cache=False``,
-  ``data_fast_path=False`` or ``superblock=False`` — any observable
-  difference from the fast-path configuration is a coherence bug;
+* the plain per-cycle chip, ``ChipConfig(fast_paths=False)``
+  (:func:`~repro.fuzz.scenarios.diff_fast_paths_axis`) — any
+  difference from the shortcut-laden default, in state, cycles or a
+  counter outside the shortcut tallies, is a coherence bug;
 * the chip *restored from a snapshot* mid-run
   (:func:`~repro.fuzz.scenarios.diff_replay_axis`) — a round-trip
   through the ``repro.persist`` container must change nothing, which is
@@ -25,9 +26,8 @@ from repro.fuzz.generator import (REFERENCE_SCENARIOS, SCENARIOS, FuzzCase,
                                   generate_case)
 from repro.fuzz.runner import (Failure, FuzzReport, run_campaign, run_case,
                                write_failure_artifacts)
-from repro.fuzz.scenarios import (PARALLEL_SCENARIOS, diff_cache_axes,
-                                  diff_fast_path_axes, diff_parallel_axis,
-                                  diff_replay_axis, diff_superblock_axes,
+from repro.fuzz.scenarios import (PARALLEL_SCENARIOS, diff_fast_paths_axis,
+                                  diff_parallel_axis, diff_replay_axis,
                                   run_scenario)
 from repro.fuzz.shrink import emit_regression_test, shrink_case
 
@@ -40,11 +40,9 @@ __all__ = [
     "REFERENCE_SCENARIOS",
     "SCENARIOS",
     "diff_against_reference",
-    "diff_cache_axes",
-    "diff_fast_path_axes",
+    "diff_fast_paths_axis",
     "diff_parallel_axis",
     "diff_replay_axis",
-    "diff_superblock_axes",
     "emit_regression_test",
     "generate_case",
     "run_campaign",

@@ -37,9 +37,8 @@ DATA_SEGLEN = round_up_log2(DATA_BYTES)  # 12: a 4096-byte segment
 class Divergence:
     """One observed disagreement, attributable to a replayable case."""
 
-    axis: str            #: "chip-vs-reference" | "cache-on-vs-off" |
-                         #: "fastpath-on-vs-off" | "superblock-on-vs-off" |
-                         #: "replay-roundtrip"
+    axis: str            #: "chip-vs-reference" | "fast-vs-plain" |
+                         #: "replay-roundtrip" | "parallel-vs-lockstep"
     case: FuzzCase
     kind: str            #: "state" | "fault-type" | "fault-order" |
                          #: "halt-order" | "memory" | "crash" |
@@ -62,9 +61,7 @@ class Divergence:
                 f"(seed {self.case.seed}, {self.case.scenario}): {self.detail}")
 
 
-def setup_chip(source: str, *, decode_cache: bool = True,
-               data_fast_path: bool = True,
-               superblock: bool = True,
+def setup_chip(source: str, *, fast_paths: bool = True,
                fregs: dict[int, float] | None = None
                ) -> tuple[MAPChip, Thread, GuardedPointer, GuardedPointer]:
     """A bare chip (no kernel) with the program at ``CODE_BASE``, a
@@ -73,9 +70,7 @@ def setup_chip(source: str, *, decode_cache: bool = True,
     in r13.  Mirrors the reference setup exactly."""
     program = assemble(source)
     chip = MAPChip(ChipConfig(memory_bytes=2 * 1024 * 1024,
-                              decode_cache=decode_cache,
-                              data_fast_path=data_fast_path,
-                              superblock=superblock))
+                              fast_paths=fast_paths))
     chip.page_table.ensure_mapped(CODE_BASE, max(program.size_bytes, 8))
     for i, word in enumerate(program.encode()):
         chip.memory.store_word(chip.page_table.walk(CODE_BASE + i * 8), word)

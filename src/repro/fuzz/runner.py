@@ -1,4 +1,4 @@
-"""Campaign driver: generate → diff (both axes) → shrink → report.
+"""Campaign driver: generate → diff (every axis) → shrink → report.
 
 ``run_case`` is the single-case entry point the regression tests reuse;
 ``run_campaign`` is what the CLI and ``tools/run_fuzz.py`` drive.  Case
@@ -15,41 +15,23 @@ from typing import Callable
 from repro.fuzz.differ import Divergence, diff_against_reference
 from repro.fuzz.generator import (REFERENCE_SCENARIOS, FuzzCase,
                                   generate_case)
-from repro.fuzz.scenarios import (diff_cache_axes, diff_fast_path_axes,
-                                  diff_parallel_axis, diff_replay_axis,
-                                  diff_superblock_axes)
+from repro.fuzz.scenarios import (diff_fast_paths_axis, diff_parallel_axis,
+                                  diff_replay_axis)
 from repro.fuzz.shrink import emit_regression_test, shrink_case
 
 
 def run_case(case: FuzzCase) -> list[Divergence]:
-    """Every divergence ``case`` produces: the decode-cache,
-    data-fast-path, superblock and snapshot-replay axes always run; the
-    parallel-vs-lockstep axis runs for the self-contained scenarios a
-    mesh can host (``PARALLEL_SCENARIOS``); the chip-vs-reference axis
-    runs for the scenarios the flat-memory reference can execute (no
-    paging, no kernel, no mesh).  An empty list is the pass verdict
-    the regression tests assert."""
-    divergences = []
-    d = diff_cache_axes(case)
-    if d is not None:
-        divergences.append(d)
-    d = diff_fast_path_axes(case)
-    if d is not None:
-        divergences.append(d)
-    d = diff_superblock_axes(case)
-    if d is not None:
-        divergences.append(d)
-    d = diff_replay_axis(case)
-    if d is not None:
-        divergences.append(d)
-    d = diff_parallel_axis(case)
-    if d is not None:
-        divergences.append(d)
+    """Every divergence ``case`` produces: the fast-vs-plain and
+    snapshot-replay axes always run; the parallel-vs-lockstep axis runs
+    for the self-contained scenarios a mesh can host
+    (``PARALLEL_SCENARIOS``); the chip-vs-reference axis runs for the
+    scenarios the flat-memory reference can execute (no paging, no
+    kernel, no mesh).  An empty list is the pass verdict the
+    regression tests assert."""
+    axes = [diff_fast_paths_axis, diff_replay_axis, diff_parallel_axis]
     if case.scenario in REFERENCE_SCENARIOS:
-        d = diff_against_reference(case)
-        if d is not None:
-            divergences.append(d)
-    return divergences
+        axes.append(diff_against_reference)
+    return [d for d in (axis(case) for axis in axes) if d is not None]
 
 
 @dataclass

@@ -1,14 +1,16 @@
-"""Scenario runners and the fast-path diff axes.
+"""Scenario runners and the fast-vs-plain diff axis.
 
-Every scenario runs the same case under pairs of fast-path settings —
-``decode_cache`` on/off, ``data_fast_path`` (the access-check and
-translation-line memos) on/off, and ``superblock`` (bulk straight-line
-execution) on/off — and each pair must produce *identical* digests:
-thread state, register files, fault sequence, memory image and cycle
-count (all the knobs are documented as timing-transparent, so even
-``now`` must match).  The scenarios are chosen to stress exactly the
-paths that can leave a stale decoded bundle, a stale memoised
-translation, or a stale superblock node behind:
+Every scenario runs the same case with the simulator's shortcuts on
+(``ChipConfig(fast_paths=True)``: decoded-bundle cache, LEA,
+access-check and translation-line memos, idle fast-forward, superblock
+traces) and off, and the pair must produce *identical* digests: thread
+state, register files, fault sequence, memory image, cycle count (the
+shortcuts are timing-transparent, so even ``now`` must match) and the
+counter file minus the shortcut tallies
+(:data:`~repro.machine.chip.SHORTCUT_TALLIES`).  The scenarios are
+chosen to stress exactly the paths that can leave a stale decoded
+bundle, a stale memoised translation, or a stale superblock node
+behind:
 
 ==============  ======================================================
 plain           straight ISA soup (control: no mutation at all)
@@ -21,13 +23,13 @@ loader_reuse    a freed code segment's range is reloaded with new code
 remote_store    another node patches this node's code through the mesh
 ==============  ======================================================
 
-The third axis — **replay** (:func:`diff_replay_axis`) — runs every
-scenario a second time with a snapshot/restore round-trip spliced in at
-the scenario's mutation point: the machine is captured through the real
+The **replay** axis (:func:`diff_replay_axis`) runs every scenario a
+second time with a snapshot/restore round-trip spliced in at the
+scenario's mutation point: the machine is captured through the real
 container codec (:mod:`repro.persist.snapshot` — canonical JSON, zlib,
 CRC and all), a *fresh* machine is rebuilt from the bytes, and the run
 finishes there.  The digests must still be identical, under both
-fast-path settings — that is the deterministic-replay guarantee
+``fast_paths`` settings — that is the deterministic-replay guarantee
 ``Simulation.save``/``restore`` advertises, policed case by case.
 """
 
@@ -37,7 +39,7 @@ from repro.core.permissions import Permission
 from repro.core.pointer import GuardedPointer
 from repro.core.word import TaggedWord
 from repro.machine.assembler import assemble
-from repro.machine.chip import ChipConfig, MAPChip
+from repro.machine.chip import ChipConfig, MAPChip, without_shortcut_tallies
 from repro.machine.multicomputer import Multicomputer
 from repro.machine.network import MeshShape
 from repro.machine.thread import Thread
@@ -147,6 +149,7 @@ def _digest_chip(chip: MAPChip, threads: list[Thread],
         "faults": [type(r.cause).__name__ for r in chip.fault_log],
         "memory": [_segment_words(chip, base, nbytes)
                    for base, nbytes in segments],
+        "counters": without_shortcut_tallies(chip.counters.snapshot()),
         "invariant": None,
         # side channel, like "_snapshot": the flight recorder rides
         # along for crash artifacts but is popped before any comparison
@@ -163,15 +166,11 @@ def _digest_chip(chip: MAPChip, threads: list[Thread],
 
 # -- the runners ----------------------------------------------------------
 
-def _run_program_scenario(case: FuzzCase, decode_cache: bool,
-                          data_fast_path: bool = True,
-                          superblock: bool = True,
-                          roundtrip: bool = False) -> dict:
+def _run_program_scenario(case: FuzzCase, fast_paths: bool,
+                          roundtrip: bool) -> dict:
     """plain / self_modify / enter_call: a bare chip, run to the end."""
     chip, thread, entry, data = setup_chip(case.source,
-                                           decode_cache=decode_cache,
-                                           data_fast_path=data_fast_path,
-                                           superblock=superblock,
+                                           fast_paths=fast_paths,
                                            fregs=case.fregs)
     monitor = SecurityMonitor(chip)
     monitor.note_spawn(thread)
@@ -189,15 +188,11 @@ def _run_program_scenario(case: FuzzCase, decode_cache: bool,
     return digest
 
 
-def _make_sim(case: FuzzCase, decode_cache: bool, data_fast_path: bool,
-              superblock: bool
+def _make_sim(case: FuzzCase, fast_paths: bool
               ) -> tuple[Simulation, Thread, SecurityMonitor, int, int]:
     """A kernel-backed single-node machine with the case loaded: data
     segment in r8, stack in r14 (kernel convention)."""
-    sim = Simulation(memory_bytes=2 * 1024 * 1024,
-                     decode_cache=decode_cache,
-                     data_fast_path=data_fast_path,
-                     superblock=superblock)
+    sim = Simulation(memory_bytes=2 * 1024 * 1024, fast_paths=fast_paths)
     data = sim.allocate(DATA_BYTES, eager=True)
     entry = sim.load(case.source)
     monitor = SecurityMonitor(sim.chip)
@@ -208,14 +203,11 @@ def _make_sim(case: FuzzCase, decode_cache: bool, data_fast_path: bool,
     return sim, thread, monitor, entry.segment_base, data.segment_base
 
 
-def _run_unmap_remap(case: FuzzCase, decode_cache: bool,
-                     data_fast_path: bool = True,
-                     superblock: bool = True,
-                     roundtrip: bool = False) -> dict:
+def _run_unmap_remap(case: FuzzCase, fast_paths: bool,
+                     roundtrip: bool) -> dict:
     """Mid-run, the code page is unmapped, remapped, and rewritten with
     a carpet of HALT bundles — the decoded old program must not run on."""
-    sim, thread, monitor, code_base, data_base = _make_sim(
-        case, decode_cache, data_fast_path, superblock)
+    sim, thread, monitor, code_base, data_base = _make_sim(case, fast_paths)
     sim.step(case.meta["mutate_after"])
     table = sim.chip.page_table
     program_bytes = assemble(case.source).size_bytes
@@ -237,14 +229,11 @@ def _run_unmap_remap(case: FuzzCase, decode_cache: bool,
     return digest
 
 
-def _run_swap(case: FuzzCase, decode_cache: bool,
-              data_fast_path: bool = True,
-              superblock: bool = True,
-              roundtrip: bool = False) -> dict:
+def _run_swap(case: FuzzCase, fast_paths: bool,
+              roundtrip: bool) -> dict:
     """Mid-run, the code and data pages are forced out to the backing
     store; the demand-pager brings them back on the next touch."""
-    sim, thread, monitor, code_base, data_base = _make_sim(
-        case, decode_cache, data_fast_path, superblock)
+    sim, thread, monitor, code_base, data_base = _make_sim(case, fast_paths)
     swap = SwapManager(sim.kernel, swap_cycles=50)
     sim.step(case.meta["mutate_after"])
     table = sim.chip.page_table
@@ -264,15 +253,12 @@ def _run_swap(case: FuzzCase, decode_cache: bool,
     return digest
 
 
-def _run_gc_sweep(case: FuzzCase, decode_cache: bool,
-                  data_fast_path: bool = True,
-                  superblock: bool = True,
-                  roundtrip: bool = False) -> dict:
+def _run_gc_sweep(case: FuzzCase, fast_paths: bool,
+                  roundtrip: bool) -> dict:
     """Mid-run, a full collection frees an unreachable decoy and a
     ``sweep_revoke`` zeroes every copy of a victim pointer — both write
     below translation, which is exactly where staleness hides."""
-    sim, thread, monitor, code_base, data_base = _make_sim(
-        case, decode_cache, data_fast_path, superblock)
+    sim, thread, monitor, code_base, data_base = _make_sim(case, fast_paths)
     victim = sim.allocate(256, eager=True)
     sim.allocate(512, eager=True)  # the decoy: unreachable, GC frees it
     # park the victim pointer in live data so the sweep has work to do
@@ -294,16 +280,11 @@ def _run_gc_sweep(case: FuzzCase, decode_cache: bool,
     return digest
 
 
-def _run_loader_reuse(case: FuzzCase, decode_cache: bool,
-                      data_fast_path: bool = True,
-                      superblock: bool = True,
-                      roundtrip: bool = False) -> dict:
+def _run_loader_reuse(case: FuzzCase, fast_paths: bool,
+                      roundtrip: bool) -> dict:
     """Run program A, free its code segment, load program B over the
     recycled range, run that too — B must never execute A's bundles."""
-    sim = Simulation(memory_bytes=2 * 1024 * 1024,
-                     decode_cache=decode_cache,
-                     data_fast_path=data_fast_path,
-                     superblock=superblock)
+    sim = Simulation(memory_bytes=2 * 1024 * 1024, fast_paths=fast_paths)
     data = sim.allocate(DATA_BYTES, eager=True)
     data_base = data.segment_base
     monitor = SecurityMonitor(sim.chip)
@@ -330,20 +311,15 @@ def _run_loader_reuse(case: FuzzCase, decode_cache: bool,
     return digest
 
 
-def _run_remote_store(case: FuzzCase, decode_cache: bool,
-                      data_fast_path: bool = True,
-                      superblock: bool = True,
-                      roundtrip: bool = False) -> dict:
+def _run_remote_store(case: FuzzCase, fast_paths: bool,
+                      roundtrip: bool) -> dict:
     """Two mesh nodes; node 1 patches node 0's code through the network
     mid-run, flipping a ``movi`` immediate the loop keeps executing.
-    (Superblocks self-disable on meshed chips, so this scenario also
-    proves the knob is inert — not merely parity-clean — with a router
-    attached.)"""
+    (Superblocks self-disable on meshed chips, so here the fast run
+    differs from the plain one only by its memos and decode cache.)"""
     mc = Multicomputer(MeshShape(2, 1, 1),
                        chip_config=ChipConfig(memory_bytes=2 * 1024 * 1024,
-                                              decode_cache=decode_cache,
-                                              data_fast_path=data_fast_path,
-                                              superblock=superblock),
+                                              fast_paths=fast_paths),
                        arena_order=24)
     data = mc.allocate_on(0, DATA_BYTES, eager=True)
     entry = mc.load_on(0, case.source)
@@ -371,6 +347,7 @@ def _run_remote_store(case: FuzzCase, decode_cache: bool,
     digest["cycles"] = max(chip.now for chip in mc.chips)
     digest["faults"] = [[type(r.cause).__name__ for r in chip.fault_log]
                         for chip in mc.chips]
+    digest["counters"] = without_shortcut_tallies(mc.counters_snapshot())
     if snapshot is not None:
         digest["_snapshot"] = snapshot
     return digest
@@ -388,102 +365,77 @@ _RUNNERS = {
 }
 
 
-def run_scenario(case: FuzzCase, decode_cache: bool,
-                 data_fast_path: bool = True,
-                 superblock: bool = True,
+def run_scenario(case: FuzzCase, fast_paths: bool = True,
                  roundtrip: bool = False) -> dict:
-    """One digest of ``case`` under the given fast-path settings.  With
+    """One digest of ``case`` with the shortcuts on or off.  With
     ``roundtrip`` the machine takes a snapshot/restore round-trip at
     the scenario's mutation point, and the digest carries the container
     bytes under the ``"_snapshot"`` side-channel key (popped before any
     comparison)."""
-    return _RUNNERS[case.scenario](case, decode_cache, data_fast_path,
-                                   superblock, roundtrip=roundtrip)
+    return _RUNNERS[case.scenario](case, fast_paths, roundtrip)
 
 
-def _first_difference(on: dict, off: dict, knob: str) -> str:
-    for key in on:
-        if on[key] != off[key]:
-            return f"{key}: {knob}-on={on[key]!r} {knob}-off={off[key]!r}"
+def _first_difference(a: dict, b: dict, a_name: str, b_name: str) -> str:
+    """The first digest entry that differs, as a one-line detail; for
+    the counter file, only the counters that differ."""
+    for key in a:
+        if a[key] == b[key]:
+            continue
+        if key == "counters":
+            names = sorted(n for n in a[key].keys() | b[key].keys()
+                           if a[key].get(n) != b[key].get(n))
+            return "counters: " + ", ".join(
+                f"{n} {a_name}={a[key].get(n)!r} {b_name}={b[key].get(n)!r}"
+                for n in names[:8])
+        return f"{key}: {a_name}={a[key]!r} {b_name}={b[key]!r}"
     return "digests differ"
 
 
-def _diff_knob(case: FuzzCase, axis: str, knob: str,
-               run) -> Divergence | None:
-    """Shared on-vs-off comparison: ``run(enabled)`` digests the case
-    with the knob in the given position; None means the two runs were
-    architecturally *and* temporally identical."""
-    try:
-        on = run(True)
-    except Exception as e:
-        return Divergence(axis, case, "crash",
-                          f"{knob}-on run crashed: {type(e).__name__}: {e}")
-    try:
-        off = run(False)
-    except Exception as e:
-        return Divergence(axis, case, "crash",
-                          f"{knob}-off run crashed: {type(e).__name__}: {e}")
-    on_flight = on.pop("_flight", None)
-    off_flight = off.pop("_flight", None)
-    if on["invariant"] is not None:
-        return Divergence(axis, case, "invariant", on["invariant"],
-                          flight=on_flight)
-    if off["invariant"] is not None:
-        return Divergence(axis, case, "invariant", off["invariant"],
-                          flight=off_flight)
-    if on != off:
+def diff_fast_paths_axis(case: FuzzCase) -> Divergence | None:
+    """Run ``case`` with every simulator shortcut on and on the plain
+    per-cycle machine; None means the two runs were architecturally
+    *and* temporally identical, with the same counter file outside the
+    shortcut tallies."""
+    axis = "fast-vs-plain"
+    digests = []
+    for name, fast_paths in (("fast", True), ("plain", False)):
+        try:
+            digest = run_scenario(case, fast_paths)
+        except Exception as e:
+            return Divergence(axis, case, "crash",
+                              f"{name} run crashed: {type(e).__name__}: {e}")
+        flight = digest.pop("_flight", None)
+        if digest["invariant"] is not None:
+            return Divergence(axis, case, "invariant", digest["invariant"],
+                              flight=flight)
+        digests.append((digest, flight))
+    (fast, flight), (plain, _) = digests
+    if fast != plain:
         return Divergence(axis, case, "state",
-                          _first_difference(on, off, knob),
-                          flight=on_flight)
+                          _first_difference(fast, plain, "fast", "plain"),
+                          flight=flight)
     return None
-
-
-def diff_cache_axes(case: FuzzCase) -> Divergence | None:
-    """Run ``case`` with the decode cache on and off (data fast path on
-    in both); None means identical digests."""
-    return _diff_knob(case, "cache-on-vs-off", "cache",
-                      lambda enabled: run_scenario(case, enabled))
-
-
-def diff_fast_path_axes(case: FuzzCase) -> Divergence | None:
-    """Run ``case`` with the data fast path (access-check and
-    translation-line memos) on and off (decode cache on in both); None
-    means identical digests — the memos changed neither a single
-    architectural word nor a single cycle."""
-    return _diff_knob(
-        case, "fastpath-on-vs-off", "fastpath",
-        lambda enabled: run_scenario(case, True, data_fast_path=enabled))
-
-
-def diff_superblock_axes(case: FuzzCase) -> Divergence | None:
-    """Run ``case`` with superblock turbo execution on and off (decode
-    cache and data fast path on in both); None means identical digests —
-    bulk straight-line dispatch changed neither a single architectural
-    word nor a single cycle nor a single counter-visible event."""
-    return _diff_knob(
-        case, "superblock-on-vs-off", "superblock",
-        lambda enabled: run_scenario(case, True, superblock=enabled))
 
 
 def diff_replay_axis(case: FuzzCase) -> Divergence | None:
     """Run ``case`` uninterrupted and with a snapshot/restore
     round-trip spliced in at the mutation point — under *both*
-    fast-path settings — and require bit-identical digests (registers,
-    memory, fault sequence, cycle count).  On a mismatch the returned
-    divergence carries the snapshot bytes, so the failing image ships
-    inside the crash dump, restorable for post-mortem."""
+    ``fast_paths`` settings — and require bit-identical digests
+    (registers, memory, fault sequence, cycle count, counters).  On a
+    mismatch the returned divergence carries the snapshot bytes, so the
+    failing image ships inside the crash dump, restorable for
+    post-mortem."""
     axis = "replay-roundtrip"
-    for fast_path in (True, False):
-        label = "fastpath-on" if fast_path else "fastpath-off"
+    for fast_paths in (True, False):
+        label = "fast" if fast_paths else "plain"
         try:
-            base = run_scenario(case, True, data_fast_path=fast_path)
+            base = run_scenario(case, fast_paths)
         except Exception as e:
             return Divergence(axis, case, "crash",
                               f"uninterrupted {label} run crashed: "
                               f"{type(e).__name__}: {e}")
         try:
-            replayed = run_scenario(case, True, data_fast_path=fast_path,
-                                    roundtrip=True)
+            replayed = run_scenario(case, fast_paths, roundtrip=True)
         except Exception as e:
             return Divergence(axis, case, "crash",
                               f"replayed {label} run crashed: "
@@ -497,13 +449,9 @@ def diff_replay_axis(case: FuzzCase) -> Divergence | None:
             return Divergence(axis, case, "invariant", replayed["invariant"],
                               snapshot=snapshot, flight=flight)
         if base != replayed:
-            for key in base:
-                if base[key] != replayed[key]:
-                    detail = (f"{key} ({label}): uninterrupted="
-                              f"{base[key]!r} replayed={replayed[key]!r}")
-                    break
-            else:
-                detail = "digests differ"
+            detail = _first_difference(base, replayed,
+                                       f"{label}-uninterrupted",
+                                       f"{label}-replayed")
             return Divergence(axis, case, "state", detail,
                               snapshot=snapshot, flight=flight)
     return None
@@ -608,12 +556,8 @@ def diff_parallel_axis(case: FuzzCase) -> Divergence | None:
     lockstep.pop("_flight", None)
     flight = sharded.pop("_flight", None)
     if lockstep != sharded:
-        for key in lockstep:
-            if lockstep[key] != sharded[key]:
-                detail = (f"{key}: lockstep={lockstep[key]!r} "
-                          f"2-worker={sharded[key]!r}")
-                break
-        else:
-            detail = "digests differ"
-        return Divergence(axis, case, "state", detail, flight=flight)
+        return Divergence(axis, case, "state",
+                          _first_difference(lockstep, sharded, "lockstep",
+                                            "2-worker"),
+                          flight=flight)
     return None

@@ -35,14 +35,14 @@ and code:
   (:meth:`MAPChip.invalidate_decoded_range`, called by the kernel
   loader).
 
-``ChipConfig(decode_cache=False)`` restores walk-and-decode-every-fetch
-for measurement (see ``benchmarks/bench_cycle_loop.py``).
+``ChipConfig(fast_paths=False)`` turns it off together with every
+other simulator shortcut (see :class:`ChipConfig`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Mapping
 
 from repro.core.constants import ADDRESS_MASK as _ADDRESS_MASK
 from repro.core.constants import WORD_BYTES
@@ -86,30 +86,38 @@ class ChipConfig:
     tlb_walk_cycles: int = 20
     domain_switch_penalty: int = 0
     flush_on_domain_switch: bool = False
-    #: cache decoded bundles by fetch address (simulator speed knob;
-    #: no architectural effect — invalidation keeps it transparent)
-    decode_cache: bool = True
-    #: mirror of ``decode_cache`` for the data side: memoize load/store
-    #: permission+bounds checks per pointer word in the execution units,
-    #: and virtual→physical line translations in the banked cache.
-    #: Timing-model-transparent — cycle counts are identical on or off;
-    #: the fuzzer's fastpath-on-vs-off axis polices that continuously.
-    data_fast_path: bool = True
-    #: let run() jump the clock over stretches where every thread is
-    #: blocked on memory, instead of stepping them cycle by cycle
-    #: (cycle counts and per-cluster idle accounting are preserved)
-    idle_fast_forward: bool = True
-    #: the busy-cycle twin of ``idle_fast_forward``: when exactly one
-    #: thread is ready and nothing else on the chip can act, execute a
-    #: straight line of already-decoded bundles in one dispatch with
-    #: bulk accounting (see PERF.md §6).  Timing-model-transparent —
-    #: cycle counts, counters and trace events are identical on or off;
-    #: the fuzzer's superblock-on-vs-off axis polices that continuously.
-    #: Requires ``decode_cache`` (traces run the cache's compiled nodes).
-    superblock: bool = True
+    #: the simulator's shortcuts, all on or all off.  Some memoize pure
+    #: functions of pointer bits — the decoded-bundle cache, and the
+    #: LEA, access-check and translation-line memos (PERF.md §3, §5);
+    #: the rest batch cycles in which nothing else can act — idle
+    #: fast-forward and superblock traces (§6).  None changes a cycle
+    #: or a counter outside :data:`SHORTCUT_TALLIES`; ``False`` gives
+    #: the plain per-cycle machine the parity tests and the fuzzer's
+    #: fast-vs-plain axis compare against.
+    fast_paths: bool = True
     #: flight-recorder ring depth (events kept for crash dumps); purely
     #: observational — no architectural or timing effect
     flight_capacity: int = 512
+
+
+#: Counter-name prefixes of the *shortcut tallies*: the counters that
+#: measure the shortcuts themselves (decode-cache ``fetch.*``, the
+#: access-check memo, the translation-line memo, idle fast-forward).
+#: They are the only counters ``fast_paths`` may change, so every
+#: comparison of counter files across the two settings drops them.
+SHORTCUT_TALLIES = ("fetch.", "mem.check_memo_", "cache.xlate_memo_",
+                    "chip.idle_skipped_cycles")
+
+
+def without_shortcut_tallies(snapshot: Mapping[str, int | float]) -> dict:
+    """``snapshot`` minus the :data:`SHORTCUT_TALLIES` — on a mesh file
+    too, whose per-node copies are named ``node<N>.<counter>``."""
+    kept = {}
+    for name, value in snapshot.items():
+        bare = name.partition(".")[2] if name.startswith("node") else name
+        if not bare.startswith(SHORTCUT_TALLIES):
+            kept[name] = value
+    return kept
 
 
 class RunReason:
@@ -179,7 +187,7 @@ class MAPChip:
             ways=c.cache_ways,
             hit_cycles=c.cache_hit_cycles,
             external_cycles=c.external_cycles,
-            xlate_memo=c.data_fast_path,
+            xlate_memo=c.fast_paths,
         )
         self.cache.obs = self.obs
         self.tlb.obs = self.obs
@@ -223,22 +231,18 @@ class MAPChip:
         #: there, one node per word that passed the fetch checks;
         #: flushed on any unmap
         self._decode_cache: dict[int, dict[int, tuple]] = {}
-        self._decode_enabled = c.decode_cache
         #: superblock telemetry (plain attributes, deliberately *not*
-        #: PerfCounters: counter snapshots must be bit-identical with
-        #: the knob on or off, so engine-utilization introspection lives
+        #: PerfCounters: counter snapshots must be bit-identical whether
+        #: traces ran or not, so engine-utilization introspection lives
         #: outside the counter file)
         self.superblock_blocks = 0
         self.superblock_bundles = 0
         #: (pointer word, offset) -> derived pointer, shared by every
         #: cluster's LEA paths (IP advance, branches, address
         #: arithmetic).  LEA is a pure function of pointer bits, so
-        #: entries never go stale and no invalidation exists.  Gated on
-        #: ``data_fast_path``: it memoizes pointer *derivation*, the
-        #: data-side twin of the decoded-bundle cache, and the
-        #: fastpath-on-vs-off fuzz axis is what polices it.
+        #: entries never go stale and no invalidation exists.
         self._lea_cache: dict[tuple[int, int], GuardedPointer] | None = (
-            {} if c.data_fast_path else None
+            {} if c.fast_paths else None
         )
         self.fetch_hits = 0
         self.fetch_misses = 0
@@ -252,10 +256,10 @@ class MAPChip:
         #: can go stale and no invalidation path exists.  Faulting
         #: derivations are never cached; untagged words bypass the memo.
         self._load_check_memo: dict[tuple[int, int], int] | None = (
-            {} if c.data_fast_path else None
+            {} if c.fast_paths else None
         )
         self._store_check_memo: dict[tuple[int, int], int] | None = (
-            {} if c.data_fast_path else None
+            {} if c.fast_paths else None
         )
         self.check_memo_hits = 0
         self.check_memo_misses = 0
@@ -441,7 +445,7 @@ class MAPChip:
                 physical = self.page_table.walk(vaddr)
                 words.append(self.memory.load_word(physical))
         node = compile_bundle(self, Bundle.decode(words), ip)
-        if self._decode_enabled:
+        if self.config.fast_paths:
             self._decode_cache[address] = {word: node}
         return node
 
@@ -650,23 +654,23 @@ class MAPChip:
         thread is blocked on memory are fast-forwarded to the earliest
         wake-up instead of being stepped one empty cycle at a time
         (cycle totals, utilization and per-cluster idle accounting are
-        identical to stepping).
+        identical to stepping), and a lone ready thread runs superblock
+        traces.  A ``fast_paths=False`` machine does neither.
         """
         start_cycle = self.now
         start_bundles = self.stats.issued_bundles
         idle_streak = 0
-        fast_forward = self.config.idle_fast_forward
-        # superblocks need the decode cache (they run its nodes)
-        # and a single node: a mesh runs in lockstep through step(), and
-        # remote writes may invalidate code between any two cycles
-        turbo = (self.config.superblock and self._decode_enabled
-                 and self.router is None)
+        fast = self.config.fast_paths
+        # superblocks need a single node: a mesh runs in lockstep
+        # through step(), and remote writes may invalidate code between
+        # any two cycles
+        turbo = fast and self.router is None
         while self.now - start_cycle < max_cycles:
             if self._runnable_count == 0:
                 return RunResult(self.now - start_cycle,
                                  self.stats.issued_bundles - start_bundles,
                                  self._stop_reason())
-            if fast_forward and self._ready_count == 0:
+            if fast and self._ready_count == 0:
                 # Everyone is blocked on the memory system: jump the
                 # clock to the first wake-up (bounded by the cycle
                 # budget and the deadlock limit).
@@ -737,8 +741,8 @@ class MAPChip:
 
     def restore_state(self, state: dict) -> None:
         """Overwrite this node's state with a captured image.  The chip
-        must have the snapshot's architectural shape; the simulator
-        speed knobs may differ (they change zero cycles)."""
+        must have the snapshot's architectural shape; ``fast_paths``
+        may differ (it changes zero cycles)."""
         from repro.persist.state import restore_chip_state
 
         restore_chip_state(self, state)

@@ -389,11 +389,11 @@ class Cluster:
         node closures :meth:`_execute_bundle` runs —
         execution units, guarded-pointer checks, cache timing, the
         check memos, histograms, fault dispatch — so cycle counts,
-        counters and trace events are bit-identical to the knob being
-        off.  Any bundle the cache cannot answer (not decoded yet,
-        self-modified, reached through a pointer word that has not
-        passed the fetch checks, HALT/TRAP) exits the superblock and the
-        normal path handles it.
+        counters and trace events are bit-identical to stepping the
+        same cycles one by one.  Any bundle the cache cannot answer (not
+        decoded yet, self-modified, reached through a pointer word that
+        has not passed the fetch checks, HALT/TRAP) exits the superblock
+        and the normal path handles it.
         """
         chip = self.chip
         cache = chip._decode_cache

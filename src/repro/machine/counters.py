@@ -28,9 +28,11 @@ accounting: while a trace runs, the per-cycle sites that feed the pull
 sources (cluster issue/idle counts, fetch hits, thread stats) are
 settled in one shot at trace exit rather than incremented per bundle.
 Because sources are only read at snapshot time — and a snapshot cannot
-be taken mid-trace — the counter file is bit-identical with the knob
-on or off; the fuzzer's superblock axis and
-``benchmarks/bench_superblock.py`` enforce that equality.
+be taken mid-trace — the counter file is bit-identical to per-cycle
+stepping.  Across ``ChipConfig(fast_paths=...)`` it is identical except
+for the shortcut tallies (:data:`repro.machine.chip.SHORTCUT_TALLIES`):
+the fuzzer's fast-vs-plain axis, ``tests/machine/test_superblock.py``
+and ``benchmarks/bench_superblock.py`` enforce that equality.
 """
 
 from __future__ import annotations

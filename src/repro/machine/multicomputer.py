@@ -736,13 +736,7 @@ class Multicomputer:
             "outbox": [list(box) for box in self._outbox],
         }
 
-    def restore_windows_state(self, state: dict | None) -> None:
-        if not state:
-            self._next_barrier = max(self.chips[0].now + self.window,
-                                     self.window)
-            self._seq = [0] * len(self.chips)
-            self._outbox = [[] for _ in self.chips]
-            return
+    def restore_windows_state(self, state: dict) -> None:
         self._next_barrier = int(state["next_barrier"])
         self._seq = [int(s) for s in state["seq"]]
         self._outbox = [[list(m) for m in box] for box in state["outbox"]]

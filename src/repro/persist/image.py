@@ -13,12 +13,11 @@ from them:
 
 Loading builds a *fresh* machine from the snapshot's recorded
 architectural configuration and restores state into it.  Keyword
-overrides on load may change the simulator speed knobs
-(``decode_cache``, ``data_fast_path``, ``idle_fast_forward``,
-``superblock``) — they
-alter zero cycles, which the determinism tests prove by running the
-same image to identical digests with each knob flipped both ways.
-Architectural overrides are rejected by the restore path.
+overrides on load may switch ``fast_paths`` — it alters zero cycles,
+which the determinism tests prove by running the same image to
+identical digests under both settings — or the observational
+``flight_capacity``.  Architectural overrides are rejected by the
+restore path.
 
 What does **not** come back by itself: trap handlers, custom fault
 handlers and jump auditors are code, not state — re-register them
@@ -128,8 +127,7 @@ def restore_multicomputer_state(machine: "Multicomputer",
     machine._page_homes = {int(p): int(n) for p, n in state["page_homes"]}
     for kernel, node_state in zip(machine.kernels, state["nodes"]):
         restore_node(kernel, node_state)
-    # after the chips: the fallback barrier anchor reads chip clocks
-    machine.restore_windows_state(state.get("windows"))
+    machine.restore_windows_state(state["windows"])
 
 
 def restore_multicomputer(payload: dict, **overrides) -> "Multicomputer":

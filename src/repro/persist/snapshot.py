@@ -46,7 +46,10 @@ from pathlib import Path
 
 MAGIC = b"MAPSNAP1"
 FORMAT = "map-snapshot"
-VERSION = 1
+#: 2 — the chip config's four speed knobs became one ``fast_paths``;
+#: every image carries the windowed-mesh and observability state
+#: (histogram sums included), so restore no longer guesses at either
+VERSION = 2
 
 #: payload kinds the image layer writes; readers use this to dispatch
 KINDS = ("simulation", "chip", "multicomputer", "delta")

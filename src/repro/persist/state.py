@@ -11,13 +11,13 @@ the simulator's timing-transparency contract:
   state / domain history, and every thread's architectural state
   (registers with tags, FP registers as IEEE-754 bit patterns, pending
   deferred writes, wake cycle, fault record);
-* **dropped and re-warmed** — the decoded-bundle cache, the superblock
-  node cache, the LEA memo, the load/store check memos and the cache's
-  translation line memo.  They are pure functions of pointer bits and
-  the page table, change zero cycles by contract (the fuzzer's
-  on-vs-off axes police that continuously), and so a restored machine
-  replays cycle-identically whether or not they were present at
-  capture time.
+* **dropped and re-warmed** — the decoded-bundle cache (whose
+  compiled nodes superblock traces run), the LEA memo, the load/store
+  check memos and the cache's translation line memo.  They are pure
+  functions of pointer bits and the page table, change zero cycles by
+  contract (the fuzzer's fast-vs-plain axis polices that
+  continuously), and so a restored machine replays cycle-identically
+  whether or not they were present at capture time.
 
 Capture *also* resets those memos on the live machine.  The memo
 hit/miss tallies (``fetch.*``, ``mem.check_memo_*``,
@@ -61,8 +61,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: ChipConfig fields that change simulator speed but zero cycles; a
 #: snapshot restores onto a machine with *any* setting of these.
-SPEED_KNOBS = frozenset({"decode_cache", "data_fast_path",
-                         "idle_fast_forward", "superblock"})
+SPEED_KNOBS = frozenset({"fast_paths"})
 
 #: purely observational ChipConfig fields (no architectural or timing
 #: effect), equally exempt from the restore shape check
@@ -75,8 +74,8 @@ def config_dict(config) -> dict:
 
 def check_architecture(snapshot_config: dict, config) -> None:
     """Refuse to restore onto a machine whose *architectural* shape
-    differs from the snapshot's.  Speed knobs are exempt — restoring a
-    fast-path image onto a slow-path machine (and vice versa) is the
+    differs from the snapshot's.  ``fast_paths`` is exempt — restoring
+    a fast image onto a plain machine (and vice versa) is the
     determinism test's whole point."""
     live = config_dict(config)
     for name, value in snapshot_config.items():
@@ -229,7 +228,7 @@ def capture_obs(obs) -> dict:
     }
 
 
-def restore_obs(chip: "MAPChip", state: dict | None) -> None:
+def restore_obs(chip: "MAPChip", state: dict) -> None:
     """Inverse of :func:`capture_obs` onto ``chip.obs``.  Histograms the
     snapshot knows but the hub does not (late-wired ones, like the
     service's ``request_latency``) are created and wired into the
@@ -237,12 +236,6 @@ def restore_obs(chip: "MAPChip", state: dict | None) -> None:
     from repro.obs.hub import load_flight
 
     obs = chip.obs
-    if state is None:  # pre-windows image: start observability cold
-        for histogram in obs.histograms.values():
-            histogram.reset()
-        obs.flight.clear()
-        obs._enter_stack = {}
-        return
     captured = dict((name, data) for name, data in state["histograms"])
     for name in list(obs.histograms) + [n for n in captured
                                         if n not in obs.histograms]:
@@ -260,16 +253,7 @@ def restore_obs(chip: "MAPChip", state: dict | None) -> None:
         histogram.total = int(data["total"])
         histogram.max = int(data["max"])
         histogram._buckets = [int(b) for b in data["buckets"]]
-        if "sums" in data:
-            histogram._sums = [int(s) for s in data["sums"]]
-        else:
-            # pre-sum snapshot: reconstruct the legacy upper-bound
-            # sums so old images keep reporting their old percentiles
-            from repro.obs.histogram import _OVERFLOW
-            histogram._sums = [
-                b * (histogram.max if k == _OVERFLOW else (1 << k) - 1)
-                if k else 0
-                for k, b in enumerate(histogram._buckets)]
+        histogram._sums = [int(s) for s in data["sums"]]
     flight = obs.flight
     flight.clear()
     for event in load_flight(state["flight"]):
@@ -360,10 +344,10 @@ def capture_chip(chip: "MAPChip") -> dict:
 def restore_chip_state(chip: "MAPChip", state: dict) -> None:
     """Overwrite ``chip``'s state with a captured image.
 
-    The chip must have the snapshot's architectural shape (speed knobs
-    may differ, see :data:`SPEED_KNOBS`).  Fault handlers, jump
-    auditors and router wiring are left exactly as the caller set them
-    — they are code, not state.
+    The chip must have the snapshot's architectural shape
+    (``fast_paths`` may differ, see :data:`SPEED_KNOBS`).  Fault
+    handlers, jump auditors and router wiring are left exactly as the
+    caller set them — they are code, not state.
     """
     check_architecture(state["config"], chip.config)
     if chip.memory._devices:
@@ -417,20 +401,15 @@ def restore_chip_state(chip: "MAPChip", state: dict) -> None:
     chip.decode_invalidations = int(state["fetch"]["invalidations"])
     chip.check_memo_hits = int(state["check_memo"]["hits"])
     chip.check_memo_misses = int(state["check_memo"]["misses"])
-    windows = state.get("windows")  # tolerate pre-windows images
-    if windows is None:
-        chip._remote_mirror = {}
-        chip._exported_code = set()
-        chip._remote_pending = {}
-    else:
-        chip._remote_mirror = {
-            int(vaddr): None if pair is None else (int(pair[0]), bool(pair[1]))
-            for vaddr, pair in windows["mirror"]}
-        chip._exported_code = {int(v) for v in windows["exported"]}
-        chip._remote_pending = {
-            int(seq): (int(b[0]), b[1], int(b[2]))
-            for seq, b in windows["pending"]}
-    restore_obs(chip, state.get("obs"))
+    windows = state["windows"]
+    chip._remote_mirror = {
+        int(vaddr): None if pair is None else (int(pair[0]), bool(pair[1]))
+        for vaddr, pair in windows["mirror"]}
+    chip._exported_code = {int(v) for v in windows["exported"]}
+    chip._remote_pending = {
+        int(seq): (int(b[0]), b[1], int(b[2]))
+        for seq, b in windows["pending"]}
+    restore_obs(chip, state["obs"])
     chip.now = int(state["now"])
     chip._next_tid = int(state["next_tid"])
 

@@ -547,11 +547,10 @@ class Simulation:
     def restore(cls, path, **overrides) -> "Simulation":
         """Rebuild a simulation from a :meth:`save` file — single-node
         and mesh images both come back behind this same facade.
-        Keyword overrides may flip the simulator speed knobs
-        (``decode_cache``, ``data_fast_path``, ``idle_fast_forward``,
-        ``superblock``);
-        architectural overrides are rejected.  (Named ``restore``
-        because ``load`` is the facade's program loader.)"""
+        Keyword overrides may switch ``fast_paths`` (or the
+        observational ``flight_capacity``); architectural overrides
+        are rejected.  (Named ``restore`` because ``load`` is the
+        facade's program loader.)"""
         from repro.persist.image import load_machine
 
         machine = load_machine(path, **overrides)

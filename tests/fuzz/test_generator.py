@@ -6,7 +6,7 @@ from repro.core.exceptions import GuardedPointerFault  # noqa: F401
 from repro.machine.assembler import assemble
 
 from repro.fuzz import (REFERENCE_SCENARIOS, SCENARIOS, FuzzCase,
-                        diff_against_reference, diff_cache_axes,
+                        diff_against_reference, diff_fast_paths_axis,
                         emit_regression_test, generate_case, run_case,
                         shrink_case)
 from repro.fuzz.shrink import _py_float, _rebuild
@@ -43,7 +43,7 @@ class TestDiffAxes:
         case = FuzzCase(seed=0, scenario="plain",
                         source="movi r1, 5\naddi r1, r1, 2\nhalt")
         assert diff_against_reference(case) is None
-        assert diff_cache_axes(case) is None
+        assert diff_fast_paths_axis(case) is None
         assert run_case(case) == []
 
     def test_register_divergence_detected(self):
@@ -76,9 +76,70 @@ class TestDiffAxes:
                     "subi r12, r12, 1\nbr top\nout:\nhalt"),
             meta={"patch_offset": 120, "old": 1, "new": 9})
         assert assemble(case.source).labels["target"] == 120
-        divergence = diff_cache_axes(case)
+        divergence = diff_fast_paths_axis(case)
         assert divergence is not None
-        assert divergence.axis == "cache-on-vs-off"
+        assert divergence.axis == "fast-vs-plain"
+
+
+class TestFastPathsAxisSabotage:
+    """Each test breaks one shortcut in a way no architectural register
+    shows, and pins a case the fast-vs-plain axis must still catch —
+    through the counter file or the cycle count."""
+
+    LOOP = FuzzCase(seed=0, scenario="plain",
+                    source="movi r2, 20\nloop:\nsubi r2, r2, 1\n"
+                           "bne r2, loop\nhalt")
+
+    @staticmethod
+    def _assert_caught(case, detail):
+        divergence = diff_fast_paths_axis(case)
+        assert divergence is not None
+        assert divergence.axis == "fast-vs-plain"
+        assert detail in divergence.detail, divergence.detail
+
+    def test_trace_exit_must_charge_idle_clusters(self, monkeypatch):
+        from repro.machine.cluster import Cluster
+        settle = Cluster._sb_exit
+
+        def forgets_idle_clusters(self, thread, *args):
+            before = [cl.idle_cycles for cl in self.chip.clusters]
+            settle(self, thread, *args)
+            for cl, idle in zip(self.chip.clusters, before):
+                if cl is not self:
+                    cl.idle_cycles = idle
+
+        monkeypatch.setattr(Cluster, "_sb_exit", forgets_idle_clusters)
+        self._assert_caught(self.LOOP, "cluster1.idle")
+
+    def test_idle_skip_must_charge_the_clusters(self, monkeypatch):
+        from repro.machine.chip import MAPChip
+        skip = MAPChip._skip_idle
+
+        def forgets_the_clusters(self, cycles):
+            before = [cl.idle_cycles for cl in self.clusters]
+            skip(self, cycles)
+            for cl, idle in zip(self.clusters, before):
+                cl.idle_cycles = idle
+
+        monkeypatch.setattr(MAPChip, "_skip_idle", forgets_the_clusters)
+        # the cold load blocks the only thread: run() skips the wait
+        case = FuzzCase(seed=0, scenario="plain",
+                        source="ld r3, r8, 0\nhalt")
+        self._assert_caught(case, "cluster0.idle")
+
+    def test_unmap_must_clear_the_translation_memo(self, monkeypatch):
+        from repro.mem.cache import BankedCache
+        monkeypatch.setattr(BankedCache, "_on_unmap",
+                            lambda self, page: None)
+        # the data page is swapped out and back in: a stale line memo
+        # skips the demand-paging swap-in, and its 50 cycles
+        case = FuzzCase(seed=0, scenario="swap",
+                        source=("movi r12, 10\ntop:\nbeq r12, out\n"
+                                "ld r4, r8, 0\naddi r4, r4, 1\n"
+                                "st r4, r8, 0\nsubi r12, r12, 1\n"
+                                "br top\nout:\nhalt"),
+                        meta={"mutate_after": 25})
+        self._assert_caught(case, "cycles")
 
 
 class TestShrinker:

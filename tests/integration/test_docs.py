@@ -1,5 +1,8 @@
 """Documentation freshness: generated docs match the code they document."""
 
+import contextlib
+import io
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +10,33 @@ from pathlib import Path
 import pytest
 
 REPO = Path(__file__).resolve().parents[2]
+
+
+def documented_commands() -> list[tuple[str, str]]:
+    """``(file, command)`` for every ``python -m repro ...`` line (an
+    optional ``$`` prompt allowed) in a fenced block of README.md or
+    docs/*.md, with ``\\`` continuations joined."""
+    found = []
+    for path in [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]:
+        fenced = False
+        command = None
+        for line in path.read_text().splitlines():
+            text = line.strip()
+            if text.startswith("```"):
+                fenced = not fenced
+            elif command is not None:
+                command += " " + text
+            elif fenced and text.removeprefix("$ ").startswith(
+                    ("python -m repro ", "python -m repro.cli ")):
+                command = text.removeprefix("$ ")
+            if command is None:
+                continue
+            if command.endswith("\\"):
+                command = command[:-1]
+            else:
+                found.append((path.name, command))
+                command = None
+    return found
 
 
 class TestGeneratedDocs:
@@ -27,6 +57,27 @@ class TestGeneratedDocs:
                 f"## {experiment.strip()} —" in text, f"missing {experiment}"
         for ablation in ("A1", "A2", "A3", "A4", "A5"):
             assert ablation in text
+
+
+class TestDocumentedCommands:
+    def test_every_documented_command_parses(self):
+        """Each documented invocation is accepted by the real argument
+        parser, ``...`` elisions and trailing ``# ...`` comments
+        dropped."""
+        from repro.cli import build_parser
+
+        commands = documented_commands()
+        assert len(commands) >= 35
+        rejected = []
+        for name, command in commands:
+            argv = [token for token in shlex.split(command, comments=True)
+                    if token != "..."][3:]
+            try:
+                with contextlib.redirect_stderr(io.StringIO()):
+                    build_parser().parse_args(argv)
+            except SystemExit:
+                rejected.append(f"{name}: {command}")
+        assert not rejected, rejected
 
 
 class TestCrossReferences:

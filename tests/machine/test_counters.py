@@ -126,7 +126,7 @@ class TestCounterConsistency:
     def test_e5_consistency_survives_cache_off(self):
         sim = Simulation(ChipConfig(memory_bytes=4 * 1024 * 1024,
                                     threads_per_cluster=2,
-                                    decode_cache=False))
+                                    fast_paths=False))
         source = WORKER.format(iterations=50)
         for t in range(2):
             data = sim.allocate(4096, eager=True)

@@ -1,6 +1,6 @@
 """The data-path fast path: the access-check memo in the execution
 units, the translation line memo behind it, timing transparency of
-both, and the fastpath-on-vs-off fuzz axis that polices them."""
+both, and the fast-vs-plain fuzz axis that polices them."""
 
 from repro.machine.chip import ChipConfig, MAPChip, RunReason
 from repro.runtime.swap import SwapManager
@@ -26,7 +26,7 @@ done:
 
 def run_stream(fast_path: bool, source: str = STREAM):
     chip = MAPChip(ChipConfig(memory_bytes=1024 * 1024,
-                              data_fast_path=fast_path))
+                              fast_paths=fast_path))
     entry = load(chip, source)
     data = data_segment(chip, 0x40000, 4096)
     thread = chip.spawn(entry, regs={8: data.word})
@@ -120,13 +120,13 @@ class TestTranslationMemoInvalidation:
 
 
 class TestFastPathAxisParity:
-    """data_fast_path=True and =False must be architecturally *and*
+    """fast_paths=True and =False must be architecturally *and*
     temporally identical — on exactly the workloads where a stale
     memoised translation could differ."""
 
     def _assert_parity(self, case):
-        from repro.fuzz.scenarios import diff_fast_path_axes
-        divergence = diff_fast_path_axes(case)
+        from repro.fuzz.scenarios import diff_fast_paths_axis
+        divergence = diff_fast_paths_axis(case)
         assert divergence is None, str(divergence)
 
     def test_unmap_remap_parity(self):

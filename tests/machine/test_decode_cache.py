@@ -49,7 +49,7 @@ class TestSteadyState:
 
     def test_disabled_cache_never_hits(self):
         chip = MAPChip(ChipConfig(memory_bytes=1024 * 1024,
-                                  decode_cache=False))
+                                  fast_paths=False))
         entry = load(chip, COUNTER_LOOP)
         chip.spawn(entry)
         assert chip.run().reason == RunReason.HALTED
@@ -130,9 +130,8 @@ class TestPointerAlternation:
         with pytest.raises(PermissionFault):
             chip.fetch(too_small)
 
-    def _machine(self, superblock):
-        chip = MAPChip(ChipConfig(memory_bytes=1024 * 1024,
-                                  superblock=superblock))
+    def _machine(self):
+        chip = MAPChip(ChipConfig(memory_bytes=1024 * 1024))
         entry = load(chip, self.LOOP)
         top = entry.address + assemble(self.LOOP).labels["top"]
         narrow = GuardedPointer.make(entry.permission, entry.seglen, top)
@@ -141,7 +140,7 @@ class TestPointerAlternation:
         return chip, thread
 
     def test_traces_run_through_both_words(self):
-        chip, thread = self._machine(superblock=True)
+        chip, thread = self._machine()
         grown = []
         while chip.run(max_cycles=40).reason == RunReason.MAX_CYCLES:
             grown.append(chip.superblock_bundles)
@@ -154,11 +153,17 @@ class TestPointerAlternation:
         # decoded address is a hit
         bundles = len(assemble(self.LOOP).bundles)
         assert chip.fetch_misses == bundles
-        off, off_thread = self._machine(superblock=False)
-        off.run()
-        assert off.now == chip.now
-        assert off_thread.regs.snapshot() == thread.regs.snapshot()
-        assert off.counters.snapshot() == chip.counters.snapshot()
+        # the same machine stepped cycle by cycle never runs a trace,
+        # and ends with the same counters, fetch tallies included
+        stepped, stepped_thread = self._machine()
+        while stepped.runnable_threads():
+            stepped.step()
+        assert stepped.superblock_bundles == 0
+        assert stepped.now == chip.now
+        assert stepped_thread.regs.snapshot() == thread.regs.snapshot()
+        counters = chip.counters.snapshot()
+        counters.pop("chip.idle_skipped_cycles", None)
+        assert stepped.counters.snapshot() == counters
 
 
 class TestInvalidation:
@@ -289,7 +294,7 @@ class TestSelfModifyingProgram:
 
 
 class TestCacheAxisParity:
-    """decode_cache=True and =False must be architecturally identical:
+    """fast_paths=True and =False must be architecturally identical:
     same registers, same fault sequence, same final memory — on exactly
     the workloads where a stale decoded bundle could differ."""
 
@@ -298,8 +303,8 @@ class TestCacheAxisParity:
         return assemble("movi r5, 0").encode()[0].value >> 54
 
     def _assert_parity(self, case):
-        from repro.fuzz import diff_cache_axes
-        divergence = diff_cache_axes(case)
+        from repro.fuzz import diff_fast_paths_axis
+        divergence = diff_fast_paths_axis(case)
         assert divergence is None, str(divergence)
 
     def test_self_modifying_loop_parity(self):
@@ -323,7 +328,7 @@ class TestCacheAxisParity:
                         meta={"patch_offset": 120, "old": 1, "new": 77})
         self._assert_parity(case)
         # and the patch really lands: iterations 2+ run the new movi
-        digest = run_scenario(case, decode_cache=True)
+        digest = run_scenario(case)
         assert digest["threads"][0]["regs"][5] == (77, False)
 
     def test_unmap_remap_parity(self):

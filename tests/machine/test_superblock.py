@@ -1,14 +1,17 @@
 """Superblock turbo execution (PERF.md §6): bulk straight-line dispatch
 must be invisible — identical cycles, identical counter snapshots,
-identical flight-recorder contents — with the knob on vs off, for every
-functional unit, across mid-superblock invalidation (self-modifying
-stores, unmap, swap-out, remote writes) and across a snapshot taken
-while a superblock is hot."""
+identical flight-recorder contents — between ``run()`` and stepping the
+same machine one cycle at a time, for every functional unit, across
+mid-superblock invalidation (self-modifying stores, unmap, swap-out,
+remote writes) and across a snapshot taken while a superblock is hot.
+The per-cycle sweeps compare against the plain machine
+(``fast_paths=False``) outside the shortcut tallies."""
 
 import pytest
 
 from repro.machine.assembler import assemble
-from repro.machine.chip import ChipConfig, MAPChip, RunReason
+from repro.machine.chip import (ChipConfig, MAPChip, RunReason, RunResult,
+                                without_shortcut_tallies)
 from repro.machine.cluster import NODE_MEM_FN
 from repro.machine.multicomputer import Multicomputer
 from repro.machine.network import MeshShape
@@ -23,31 +26,54 @@ from tests.machine.conftest import data_segment, load
 MEMORY = 2 * 1024 * 1024
 
 
-def run_pair(source, *, data_bytes=0, max_cycles=100_000):
-    """The same program on two fresh machines differing only in the
-    ``superblock`` knob; returns ``(sim_on, res_on, sim_off, res_off)``.
-    When ``data_bytes`` is set an eager segment lands in r8."""
+def finish(sim, turbo, max_cycles=100_000):
+    """Run ``sim`` to the end through ``run()`` when ``turbo`` (superblock
+    traces and idle fast-forward engage), else one ``step()`` at a time
+    (neither does); returns the :class:`RunResult` either way."""
+    if turbo:
+        return sim.run(max_cycles)
+    chip = sim.chip
+    start, bundles = sim.now, chip.stats.issued_bundles
+    while chip.runnable_threads() and sim.now - start < max_cycles:
+        sim.step()
+    reason = (RunReason.MAX_CYCLES if chip.runnable_threads()
+              else chip._stop_reason())
+    return RunResult(sim.now - start, chip.stats.issued_bundles - bundles,
+                     reason)
+
+
+def run_pair(source, *, data_bytes=0, eager=True):
+    """The same program on two fresh machines, finished with and without
+    turbo; returns ``(sim_run, res_run, sim_step, res_step)``.  When
+    ``data_bytes`` is set a segment lands in r8."""
     out = []
-    for sb in (True, False):
-        sim = Simulation(memory_bytes=MEMORY, superblock=sb)
+    for turbo in (True, False):
+        sim = Simulation(memory_bytes=MEMORY)
         regs = {}
         if data_bytes:
-            regs[8] = sim.allocate(data_bytes, eager=True).word
+            regs[8] = sim.allocate(data_bytes, eager=eager).word
         sim.spawn(sim.load(source), regs=regs)
-        out.append(sim)
-        out.append(sim.run(max_cycles))
-    return out[0], out[1], out[2], out[3]
+        out += [sim, finish(sim, turbo)]
+    return tuple(out)
 
 
-def assert_parity(sim_on, res_on, sim_off, res_off):
+def stepped_view(snapshot):
+    """A counter file minus idle fast-forward's own tally, the one
+    counter ``run()`` adds over per-cycle stepping."""
+    return {k: v for k, v in snapshot.items()
+            if k != "chip.idle_skipped_cycles"}
+
+
+def assert_parity(sim_run, res_run, sim_step, res_step):
     """The timing-model-identical contract, in full."""
-    assert res_on.cycles == res_off.cycles
-    assert res_on.reason == res_off.reason
-    assert res_on.issued_bundles == res_off.issued_bundles
-    assert sim_on.snapshot() == sim_off.snapshot()
-    assert sim_on.chip.obs.flight.dump() == sim_off.chip.obs.flight.dump()
-    assert ([type(r.cause).__name__ for r in sim_on.chip.fault_log] ==
-            [type(r.cause).__name__ for r in sim_off.chip.fault_log])
+    assert res_run.cycles == res_step.cycles
+    assert res_run.reason == res_step.reason
+    assert res_run.issued_bundles == res_step.issued_bundles
+    assert stepped_view(sim_run.snapshot()) == \
+        stepped_view(sim_step.snapshot())
+    assert sim_run.chip.obs.flight.dump() == sim_step.chip.obs.flight.dump()
+    assert ([type(r.cause).__name__ for r in sim_run.chip.fault_log] ==
+            [type(r.cause).__name__ for r in sim_step.chip.fault_log])
 
 
 # -- per-functional-unit parity (one workload per unit/op class) ----------
@@ -233,14 +259,8 @@ class TestUnitParity:
             bne  r2, loop
             halt
         """
-        out = []
-        for sb in (True, False):
-            sim = Simulation(memory_bytes=MEMORY, superblock=sb)
-            regs = {8: sim.allocate(4096).word}  # lazy: faults + misses
-            sim.spawn(sim.load(source), regs=regs)
-            out.append(sim)
-            out.append(sim.run(100_000))
-        assert_parity(*out)
+        # lazy segment: faults + misses
+        assert_parity(*run_pair(source, data_bytes=4096, eager=False))
 
 
 # -- the per-cycle path: concurrent threads, and a mesh -------------------
@@ -251,7 +271,8 @@ class TestUnitParity:
 # compiled nodes: several threads in separate protection domains sharing
 # one cluster, and a two-node mesh whose loads and stores are all
 # remote.  Every run is checked against the reference interpreter and
-# against decode_cache=False (walk, decode and compile on every fetch).
+# against fast_paths=False (walk, decode and compile on every fetch, no
+# memos), outside the shortcut tallies.
 
 CODE_BASE = 0x10000
 DATA_BASE = 0x40000
@@ -262,17 +283,11 @@ def _initial_regs(k, data):
     return {8: data.word, 3: 11 * k + 1, 4: 5 * k}
 
 
-def _no_fetch_counters(snapshot):
-    """The counter file minus the decode cache's own (fetch.*) counters,
-    which are the only ones decode_cache=False changes."""
-    return {k: v for k, v in snapshot.items() if "fetch." not in k}
-
-
-def run_concurrent(source, threads, *, decode_cache=True):
+def run_concurrent(source, threads, *, fast_paths=True):
     """``threads`` copies of ``source`` on cluster 0 of a bare chip, each
     in its own domain with its own data segment in r8; returns the chip,
     the run result and ``(thread, initial registers, segment base)``."""
-    chip = MAPChip(ChipConfig(memory_bytes=MEMORY, decode_cache=decode_cache))
+    chip = MAPChip(ChipConfig(memory_bytes=MEMORY, fast_paths=fast_paths))
     entry = load(chip, source, base=CODE_BASE)
     spawned = []
     for k in range(threads):
@@ -284,14 +299,14 @@ def run_concurrent(source, threads, *, decode_cache=True):
     return chip, chip.run(100_000), spawned
 
 
-def run_mesh(source, *, decode_cache=True):
+def run_mesh(source, *, fast_paths=True):
     """Two threads on node 0 of a 2-node mesh, in separate domains, each
     with a data segment homed on node 1; returns the machine, the run
     result, the entry pointer and ``(thread, initial registers, segment
     base)``."""
     mc = Multicomputer(shape=MeshShape(2, 1, 1),
                        chip_config=ChipConfig(memory_bytes=MEMORY,
-                                              decode_cache=decode_cache),
+                                              fast_paths=fast_paths),
                        arena_order=24)
     entry = mc.load_on(0, source)
     spawned = []
@@ -347,13 +362,13 @@ class TestPerCycleUnitParity:
         assert_matches_reference(source, entry, spawned, chip)
 
         off, off_result, off_spawned = run_concurrent(source, threads,
-                                                      decode_cache=False)
+                                                      fast_paths=False)
         assert off_result.cycles == result.cycles
         assert off_result.issued_bundles == result.issued_bundles
         assert [t.regs.snapshot() for t, _, _ in off_spawned] == \
             [t.regs.snapshot() for t, _, _ in spawned]
-        assert _no_fetch_counters(off.counters.snapshot()) == \
-            _no_fetch_counters(chip.counters.snapshot())
+        assert without_shortcut_tallies(off.counters.snapshot()) == \
+            without_shortcut_tallies(chip.counters.snapshot())
         assert off.obs.flight.dump() == chip.obs.flight.dump()
 
 
@@ -381,13 +396,12 @@ class TestMeshUnitParity:
         assert names & {"load", "store"}
         assert_matches_reference(source, entry, spawned, mc.chips[1])
 
-        off, off_result, _, off_spawned = run_mesh(source,
-                                                   decode_cache=False)
+        off, off_result, _, off_spawned = run_mesh(source, fast_paths=False)
         assert off_result.cycles == result.cycles
         assert [t.regs.snapshot() for t, _, _ in off_spawned] == \
             [t.regs.snapshot() for t, _, _ in spawned]
-        assert _no_fetch_counters(off.counters_snapshot()) == \
-            _no_fetch_counters(counters)
+        assert without_shortcut_tallies(off.counters_snapshot()) == \
+            without_shortcut_tallies(counters)
 
 
 class TestMeshUnalignedAccess:
@@ -397,9 +411,8 @@ class TestMeshUnalignedAccess:
         # closure faults at issue, before any message leaves the node
         source = f"lea r9, r8, 4\n{op}\nhalt"
         outcomes = []
-        for decode_cache in (True, False):
-            mc, _, entry, spawned = run_mesh(source,
-                                             decode_cache=decode_cache)
+        for fast_paths in (True, False):
+            mc, _, entry, spawned = run_mesh(source, fast_paths=fast_paths)
             for thread, _, _ in spawned:
                 assert thread.state is ThreadState.FAULTED
                 assert isinstance(thread.fault.cause, AlignmentFault)
@@ -407,7 +420,8 @@ class TestMeshUnalignedAccess:
             assert counters.get("router.remote_reads", 0) == 0
             assert counters.get("router.remote_writes", 0) == 0
             assert_matches_reference(source, entry, spawned, mc.chips[1])
-            outcomes.append((mc.chips[0].now, _no_fetch_counters(counters)))
+            outcomes.append((mc.chips[0].now,
+                             without_shortcut_tallies(counters)))
         assert outcomes[0] == outcomes[1]
 
 
@@ -429,8 +443,8 @@ class TestMidSuperblockInvalidation:
         from repro.core.permissions import Permission
         from repro.core.pointer import GuardedPointer
         out = []
-        for sb in (True, False):
-            sim = Simulation(memory_bytes=MEMORY, superblock=sb)
+        for turbo in (True, False):
+            sim = Simulation(memory_bytes=MEMORY)
             entry = sim.load(source)
             alias = GuardedPointer.make(Permission.READ_WRITE,
                                         entry.seglen, entry.address)
@@ -438,8 +452,7 @@ class TestMidSuperblockInvalidation:
             word = sim.chip.memory.load_word(
                 sim.chip.page_table.walk(patch.address))
             sim.spawn(entry, regs={15: alias.word, 10: word})
-            out.append(sim)
-            out.append(sim.run(100_000))
+            out += [sim, finish(sim, turbo)]
         assert_parity(*out)
         assert out[0].threads[0].regs.read(3).value == \
             out[2].threads[0].regs.read(3).value
@@ -454,17 +467,15 @@ class TestMidSuperblockInvalidation:
             halt
         """
         out = []
-        for sb in (True, False):
-            sim = Simulation(memory_bytes=MEMORY, superblock=sb)
+        for turbo in (True, False):
+            sim = Simulation(memory_bytes=MEMORY)
             entry = sim.load(source)
             sim.spawn(entry)
-            sim.step(50)  # superblock is hot across this boundary
+            sim.run(50)  # superblock is hot across this boundary
             table = sim.chip.page_table
             table.unmap(table.page_of(entry.address))
             assert not sim.chip._decode_cache  # traces run its nodes
-            res = sim.run(100_000)
-            out.append(sim)
-            out.append(res)
+            out += [sim, finish(sim, turbo)]
         # the kernel demand-pages the code back in: one recorded page
         # fault, then the (invalidated, re-decoded) loop runs to halt
         assert out[0].threads[0].stats.faults == 1
@@ -481,26 +492,24 @@ class TestMidSuperblockInvalidation:
             halt
         """
         out = []
-        for sb in (True, False):
-            sim = Simulation(memory_bytes=MEMORY, superblock=sb)
+        for turbo in (True, False):
+            sim = Simulation(memory_bytes=MEMORY)
             data = sim.allocate(4096, eager=True)
             entry = sim.load(source)
             sim.spawn(entry, regs={8: data.word})
             swap = SwapManager(sim.kernel, swap_cycles=50)
-            sim.step(40)
+            sim.run(40)
             table = sim.chip.page_table
             swap.swap_out(table.page_of(entry.address))
             swap.swap_out(table.page_of(data.segment_base))
             assert not sim.chip._decode_cache
-            res = sim.run(100_000)
-            out.append(sim)
-            out.append(res)
+            out += [sim, finish(sim, turbo)]
         assert out[1].reason == "halted"
         assert_parity(*out)
 
     def test_remote_write_and_mesh_inertness(self):
-        # superblocks self-disable with a router attached: the knob on
-        # a mesh must change nothing and never fire
+        # superblocks self-disable with a router attached: on a mesh the
+        # shortcuts change nothing outside their tallies and never fire
         from repro.core.word import TaggedWord
         from repro.machine.assembler import assemble
         source = """
@@ -512,8 +521,9 @@ class TestMidSuperblockInvalidation:
             halt
         """
         digests = []
-        for sb in (True, False):
-            sim = Simulation(nodes=2, memory_bytes=MEMORY, superblock=sb)
+        for fast_paths in (True, False):
+            sim = Simulation(nodes=2, memory_bytes=MEMORY,
+                             fast_paths=fast_paths)
             entry = sim.load(source, node=0)
             thread = sim.spawn(entry)
             sim.step(30)
@@ -523,7 +533,7 @@ class TestMidSuperblockInvalidation:
                                        now=sim.chips[1].now, value=patch)
             sim.run(100_000)
             assert all(chip.superblock_blocks == 0 for chip in sim.chips)
-            digests.append((sim.now, sim.snapshot(),
+            digests.append((sim.now, without_shortcut_tallies(sim.snapshot()),
                             thread.regs.read(3).value,
                             thread.state.name))
         assert digests[0] == digests[1]
@@ -541,7 +551,7 @@ class TestSnapshotMidSuperblock:
             bne  r2, loop
             halt
         """
-        sim = Simulation(memory_bytes=MEMORY, superblock=True)
+        sim = Simulation(memory_bytes=MEMORY)
         sim.spawn(sim.load(source),
                   regs={8: sim.allocate(256, eager=True).word})
         sim.run(101)  # the horizon lands mid-superblock, mid-loop
@@ -567,7 +577,7 @@ class TestSnapshotMidSuperblock:
         assert sim.capture_state() == restored.capture_state()
 
         # and the whole interrupted run matches one that never paused
-        clean = Simulation(memory_bytes=MEMORY, superblock=False)
+        clean = Simulation(memory_bytes=MEMORY, fast_paths=False)
         clean.spawn(clean.load(source),
                     regs={8: clean.allocate(256, eager=True).word})
         clean.run(100_000)

@@ -177,9 +177,9 @@ class TestTraceSession:
 
 class TestTraceParity:
     """Recording a full trace session must never change cycle counts —
-    under every combination of the decode-cache and data-fast-path
-    knobs (a hot sink also keeps superblock turbo off, so this compares
-    the per-cycle path against turbo too)."""
+    with the simulator's shortcuts on and off (a hot sink also keeps
+    superblock turbo off, so this compares the per-cycle path against
+    turbo too)."""
 
     WORKLOAD = """
         movi r2, 6
@@ -191,10 +191,9 @@ class TestTraceParity:
         halt
     """
 
-    def run_workload(self, decode_cache, data_fast_path, traced):
+    def run_workload(self, fast_paths, traced):
         sim = Simulation(memory_bytes=2 * 1024 * 1024,
-                         decode_cache=decode_cache,
-                         data_fast_path=data_fast_path)
+                         fast_paths=fast_paths)
         data = sim.allocate(4096)
         sim.spawn(self.WORKLOAD, regs={1: data.word}, stack_bytes=0)
         if not traced:
@@ -205,12 +204,8 @@ class TestTraceParity:
         assert any(e.name == "bundle" for e in session.events)
         return cycles
 
-    @pytest.mark.parametrize("decode_cache", [True, False])
-    @pytest.mark.parametrize("data_fast_path", [True, False])
-    def test_traced_and_untraced_cycles_identical(self, decode_cache,
-                                                  data_fast_path):
-        untraced = self.run_workload(decode_cache, data_fast_path,
-                                     traced=False)
-        traced = self.run_workload(decode_cache, data_fast_path,
-                                   traced=True)
+    @pytest.mark.parametrize("fast_paths", [True, False])
+    def test_traced_and_untraced_cycles_identical(self, fast_paths):
+        untraced = self.run_workload(fast_paths, traced=False)
+        traced = self.run_workload(fast_paths, traced=True)
         assert traced == untraced

@@ -11,10 +11,10 @@ working pointer (§2).  These tests hold the implementation to that:
 * the swap manager's backing store crosses the boundary: pages swapped
   out before a snapshot fault back in after a restore
   (:class:`TestSwapAcrossSnapshot` — tags included);
-* the simulator speed knobs (``decode_cache``, ``data_fast_path``,
-  ``superblock``) can be flipped at load time without changing a single
-  architectural bit (:class:`TestDeterminism` — the 2×2×2 knob matrix
-  runs one image to identical digests);
+* ``fast_paths`` can be switched at load time without changing a single
+  architectural bit or a counter outside the shortcut tallies
+  (:class:`TestDeterminism` runs one image to identical digests under
+  both settings);
 * perf-counter snapshots round-trip through JSON verbatim
   (:class:`TestCounterJson`).
 """
@@ -24,7 +24,7 @@ import json
 import pytest
 
 from repro.core.word import TaggedWord
-from repro.machine.chip import ChipConfig, RunReason
+from repro.machine.chip import ChipConfig, RunReason, without_shortcut_tallies
 from repro.machine.counters import PerfCounters
 from repro.machine.multicomputer import Multicomputer
 from repro.machine.network import MeshShape
@@ -63,8 +63,8 @@ def running_sim(**config) -> Simulation:
 
 def arch_digest(sim: Simulation) -> str:
     """Architectural outcome only — registers, thread states, memory,
-    the clock — with the performance *counters* excluded: flipping a
-    speed knob legitimately changes cache-warmth counters while
+    the clock — with the performance *counters* excluded: switching
+    ``fast_paths`` legitimately changes the shortcut tallies while
     changing zero architectural bits."""
     chip = sim.chip
     payload = {
@@ -205,25 +205,22 @@ class TestSwapAcrossSnapshot:
 
 
 class TestDeterminism:
-    """Satellite guarantee: one image, eight knob settings, one outcome."""
-
-    KNOBS = [dict(decode_cache=dc, data_fast_path=fp, superblock=sb)
-             for dc in (True, False) for fp in (True, False)
-             for sb in (True, False)]
+    """Satellite guarantee: one image, both ``fast_paths`` settings, one
+    outcome."""
 
     def test_knob_matrix_runs_to_identical_digests(self, tmp_path):
         sim = running_sim()
         sim.step(45)
         path = sim.save(tmp_path / "image.snap")
         digests = set()
-        for knobs in self.KNOBS:
-            run = load_simulation(path, **knobs)
-            assert run.config.decode_cache == knobs["decode_cache"]
-            assert run.config.data_fast_path == knobs["data_fast_path"]
-            assert run.config.superblock == knobs["superblock"]
+        for fast_paths in (True, False):
+            run = load_simulation(path, fast_paths=fast_paths)
+            assert run.config.fast_paths == fast_paths
             result = run.run()
             assert result.reason is RunReason.HALTED
-            digests.add(arch_digest(run))
+            counters = without_shortcut_tallies(run.snapshot())
+            digests.add((arch_digest(run),
+                         json.dumps(counters, sort_keys=True)))
         assert len(digests) == 1
 
     def test_same_image_loads_to_identical_digests(self, tmp_path):

@@ -210,7 +210,7 @@ GATED_METRICS = (
 #: run-to-run noise, with a relative floor for metrics whose IQR
 #: happens to be tiny.  The floor is wide enough that a quick CI run's
 #: slightly-lower ratios pass against a full-run baseline, while a
-#: genuine collapse of a speed knob (speedup falling toward 1x) fails.
+#: genuine collapse of a shortcut (speedup falling toward 1x) fails.
 REL_TOL = 0.25
 
 
@@ -305,41 +305,38 @@ def main(argv: list[str] | None = None) -> int:
     r_loop = run_trials(
         lambda: cycle_loop_measure(iterations=300 if q else 2000),
         trials, warmup,
-        check=lambda r: (_require(r["cycles_equal"],
-                                  "cycle-loop timing models diverged")))
+        check=requires(cycles_equal="cycle-loop timing models diverged",
+                       decode_hits_engaged="decode cache stopped engaging"))
     print(f"  {median_of(r_loop, 'speedup'):.2f}x over the pre-rework loop "
           f"({median_of(r_loop, 'new_cycles_per_s'):,.0f} vs "
-          f"{median_of(r_loop, 'legacy_cycles_per_s'):,.0f} cycles/s)")
+          f"{median_of(r_loop, 'legacy_cycles_per_s'):,.0f} cycles/s), "
+          f"{median_of(r_loop, 'decode_hit_share'):.2%} decode-cache hits")
 
     print("running data-stream microbenchmark ...")
     r_stream = run_trials(
         lambda: data_stream_measure(1000 if q else 6000), trials, warmup,
-        check=lambda r: (
-            _require(r["cycles_equal"],
-                     "data fast path changed the timing model"),
-            _require(r["cross_checks_pass"], r["cross_checks"])))
-    print(f"  {median_of(r_stream, 'speedup'):.2f}x with the data fast "
-          f"path on ({median_of(r_stream, 'fast_cycles_per_s'):,.0f} vs "
+        check=requires(cycles_equal="fast paths changed the timing model",
+                       cross_checks_pass="data-path memo cross-checks"))
+    print(f"  {median_of(r_stream, 'speedup'):.2f}x with the fast paths "
+          f"on ({median_of(r_stream, 'fast_cycles_per_s'):,.0f} vs "
           f"{median_of(r_stream, 'slow_cycles_per_s'):,.0f} cycles/s)")
 
     print("running superblock microbenchmark ...")
     r_sb = run_trials(
         lambda: superblock_measure(800 if q else 4000), trials, warmup,
-        check=lambda r: (
-            _require(r["cycles_equal"],
-                     "superblocks changed the timing model"),
-            _require(r["counters_equal"],
-                     "superblocks changed the counters")))
+        check=requires(cycles_equal="fast paths changed the timing model",
+                       counters_equal="fast paths changed the counters",
+                       alu_traced="traces stopped engaging on the alu loop"))
     print(f"  alu {median_of(r_sb, 'alu_speedup'):.2f}x, "
           f"worker {median_of(r_sb, 'worker_speedup'):.2f}x, "
-          f"stream {median_of(r_sb, 'stream_speedup'):.2f}x with "
-          f"superblocks on (cycles and counters identical)")
+          f"stream {median_of(r_sb, 'stream_speedup'):.2f}x with the "
+          f"fast paths on (cycles and counters identical; traces issue "
+          f"{median_of(r_sb, 'alu_superblock_share'):.2%} of the alu loop)")
 
     print("running tracing-overhead microbenchmark ...")
     r_trace = run_trials(
         lambda: trace_overhead_measure(500 if q else 3000), trials, warmup,
-        check=lambda r: _require(r["cycles_equal"],
-                                 "tracing changed the timing model"))
+        check=requires(cycles_equal="tracing changed the timing model"))
     print(f"  default {median_of(r_trace, 'default_overhead'):+.1%}, "
           f"requests {median_of(r_trace, 'requests_overhead'):+.1%}, "
           f"timeseries {median_of(r_trace, 'timeseries_overhead'):+.1%} "
@@ -352,11 +349,10 @@ def main(argv: list[str] | None = None) -> int:
             requests=300 if q else 2000, tenants=50 if q else 200,
             nodes=2 if q else 4),
         trials, warmup,
-        check=lambda r: (
-            _require(r["all_completed"], "open-loop run did not drain"),
-            _require(r["clean"], "service errors or wrong results"),
-            _require(r["enter_exact"],
-                     "enter_roundtrip diverged from gateway calls")))
+        check=requires(all_completed="open-loop run did not drain",
+                       clean="service errors or wrong results",
+                       enter_exact="enter_roundtrip diverged from gateway "
+                                   "calls"))
     print(f"  {median_of(r_serve, 'throughput_rpk'):.1f} req/kcycle, "
           f"p50 {median_of(r_serve, 'latency_p50')} / "
           f"p99 {median_of(r_serve, 'latency_p99')} cycles latency, "
@@ -369,12 +365,9 @@ def main(argv: list[str] | None = None) -> int:
             side=2 if q else 4,
             workers_list=(1, 2) if q else (1, 2, 4)),
         trials, warmup,
-        check=lambda r: (
-            _require(r["cycles_equal"],
-                     "worker count changed the simulated run"),
-            _require(r["reports_equal"],
-                     "worker count changed the service report"),
-            _require(r["clean"], "service errors or wrong results")))
+        check=requires(cycles_equal="worker count changed the simulated run",
+                       reports_equal="worker count changed the report",
+                       clean="service errors or wrong results"))
     top = 4 if not q else 2
     print(f"  {median_of(r_par, 'cycles')} simulated cycles at every "
           f"worker count; strong "
@@ -390,11 +383,10 @@ def main(argv: list[str] | None = None) -> int:
         trials, warmup,
         check=lambda r: (
             _require(r["schemes"] == 9, "battleground must field nine"),
-            _require(r["same_trace"], "schemes diverged on the trace"),
-            _require(r["capstone_revoke_cheapest"],
-                     "Capstone revocation not cheapest"),
-            _require(r["capacity_smallest"],
-                     "Capacity footprint not smallest")))
+            requires(same_trace="schemes diverged on the trace",
+                     capstone_revoke_cheapest="Capstone revocation not "
+                                              "cheapest",
+                     capacity_smallest="Capacity footprint not smallest")(r)))
     print(f"  paged {median_of(r_e17, 'rel_paged'):.2f}x, asid "
           f"{median_of(r_e17, 'rel_asid'):.2f}x, capstone "
           f"{median_of(r_e17, 'rel_capstone'):.2f}x, capacity "
@@ -438,6 +430,15 @@ def main(argv: list[str] | None = None) -> int:
 
 def _require(condition, message) -> None:
     assert condition, message
+
+
+def requires(**messages):
+    """A per-trial check: each keyword names a result key that must be
+    true, with the failure message as its value."""
+    def check(result: dict) -> None:
+        for key, message in messages.items():
+            _require(result[key], f"{message} ({key})")
+    return check
 
 
 if __name__ == "__main__":

@@ -2,12 +2,12 @@
 """Drive a differential-fuzzing campaign from the command line.
 
 Runs seeded random programs through every diff axis — chip versus the
-reference interpreter, decode-cache on/off, data-fast-path on/off,
-superblock turbo on/off, uninterrupted versus snapshot/restore-replayed,
-and (for the scenarios a two-node mesh can host) the ``workers=2``
-pipes versus the in-process engine — and exits non-zero on any
-divergence.  The fixed-seed smoke run the test suite wires in as a
-tier-1 check is::
+reference interpreter, every simulator shortcut on versus the plain
+per-cycle machine (``fast_paths``), uninterrupted versus
+snapshot/restore-replayed, and (for the scenarios a two-node mesh can
+host) the ``workers=2`` pipes versus the in-process engine — and exits
+non-zero on any divergence.  The fixed-seed smoke run the test suite
+wires in as a tier-1 check is::
 
     python tools/run_fuzz.py --seed 0 --cases 50
 
