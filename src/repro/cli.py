@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from repro.core.pointer import GuardedPointer
@@ -65,8 +66,27 @@ from repro.machine.isa import OP_INFO, Opcode
 from repro.sim.api import Simulation
 
 
+class _CannotRead(Exception):
+    """An input path could not be opened; :func:`main` reports it."""
+
+
+@contextmanager
+def _reading(path):
+    """Wrap the one call that opens input ``path``: an OSError there
+    ends the command with one line on stderr and exit status 2."""
+    try:
+        yield
+    except OSError as e:
+        raise _CannotRead(f"cannot read {path}: {e.strerror or e}") from None
+
+
+def _read_text(path) -> str:
+    with _reading(path):
+        return Path(path).read_text()
+
+
 def cmd_asm(args: argparse.Namespace) -> int:
-    program = assemble(Path(args.file).read_text())
+    program = assemble(_read_text(args.file))
     for i, word in enumerate(program.encode()):
         print(f"{i * 8:#06x}: {word.value:#018x}")
     for label, offset in sorted(program.labels.items(), key=lambda kv: kv[1]):
@@ -75,7 +95,7 @@ def cmd_asm(args: argparse.Namespace) -> int:
 
 
 def cmd_disasm(args: argparse.Namespace) -> int:
-    program = assemble(Path(args.file).read_text())
+    program = assemble(_read_text(args.file))
     print(disassemble_words(program.encode()))
     return 0
 
@@ -96,7 +116,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         regs[1] = segment.word
         print(f"; r1 = {args.data}-byte read/write segment at "
               f"{segment.segment_base:#x}")
-    thread = sim.spawn(Path(args.file).read_text(), regs=regs)
+    thread = sim.spawn(_read_text(args.file), regs=regs)
     tid = thread.tid
     if args.trace:
         with sim.trace() as session:
@@ -148,7 +168,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         regs[1] = segment.word
         print(f"; r1 = {args.data}-byte read/write segment at "
               f"{segment.segment_base:#x}")
-    sim.spawn(Path(args.file).read_text(), regs=regs)
+    sim.spawn(_read_text(args.file), regs=regs)
     with sim.trace() as session:
         result = sim.run(max_cycles=args.max_cycles)
     print(f"; {result.reason} after {result.cycles} cycles, "
@@ -168,8 +188,8 @@ def cmd_counters(args: argparse.Namespace) -> int:
     import json
 
     path_a, path_b = args.diff
-    a = json.loads(Path(path_a).read_text())
-    b = json.loads(Path(path_b).read_text())
+    a = json.loads(_read_text(path_a))
+    b = json.loads(_read_text(path_b))
     names = sorted(set(a) | set(b))
     width = max((len(n) for n in names), default=4)
     printed = 0
@@ -230,7 +250,7 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
         regs[1] = segment.word
         print(f"; r1 = {args.data}-byte read/write segment at "
               f"{segment.segment_base:#x}")
-    sim.spawn(Path(args.file).read_text(), regs=regs)
+    sim.spawn(_read_text(args.file), regs=regs)
     if args.run_cycles:
         sim.step(args.run_cycles)
     path = sim.save(args.out)
@@ -242,7 +262,8 @@ def cmd_restore(args: argparse.Namespace) -> int:
     """Rebuild a machine from a snapshot and run it to completion."""
     from repro.persist import read_header
 
-    header = read_header(args.snapshot)
+    with _reading(args.snapshot):
+        header = read_header(args.snapshot)
     if args.info:
         for key in sorted(header):
             print(f"{key}: {header[key]}")
@@ -366,7 +387,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.trace:
         from repro.service.export import load_trace
 
-        meta, trace = load_trace(args.trace)
+        with _reading(args.trace):
+            meta, trace = load_trace(args.trace)
         tenants = meta.get("tenants", args.tenants)
         print(f"; replaying {args.trace}: {len(trace)} events, "
               f"{tenants} tenants")
@@ -401,9 +423,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     """Re-run a fuzz crash dump through every diff axis."""
-    from repro.persist.replay import replay_crash
+    from repro.persist.replay import read_crash_dump, replay_crash
 
-    divergences = replay_crash(args.dump, log=print)
+    with _reading(args.dump):
+        dump = read_crash_dump(args.dump)
+    divergences = replay_crash(dump, log=print)
     if not divergences:
         print("; no divergence: the recorded bug does not reproduce")
         return 0
@@ -614,7 +638,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _CannotRead as e:
+        print(f"repro {args.command}: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

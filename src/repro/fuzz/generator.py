@@ -37,6 +37,7 @@ SCENARIOS = (
     "gc_sweep",       # GC collection plus a sweep-revoke mid-run
     "loader_reuse",   # free a code segment, reload over the same range
     "remote_store",   # another node patches this node's code via the mesh
+    "interleave",     # 2-4 threads with their own registers share a cluster
 )
 
 #: scenarios the flat-memory reference interpreter can also execute
@@ -259,6 +260,16 @@ def generate_case(seed: int, scenario: str | None = None) -> FuzzCase:
                 "patch_word": (_MOVI_R5_HI << 54) | new,
                 "old": old, "new": new,
                 "mutate_after": rng.randint(10, 200)}
+
+    elif scenario == "interleave":
+        # one program, risky lines included, for 2-4 threads; each
+        # thread's own r1-r7 (zeros included, so skip branches split
+        # the threads) come from the case, not the runner
+        body = _body_lines(rng, rng.randint(3, 14))
+        source = _loop(rng, body, count=rng.randint(2, 6))
+        meta = {"regs": [[0 if rng.random() < 0.3 else rng.randint(-99, 99)
+                          for _ in range(7)]
+                         for _ in range(rng.randint(2, 4))]}
 
     else:
         raise ValueError(f"unknown scenario {scenario!r}")

@@ -21,6 +21,8 @@ swap            code and data pages take a backing-store round-trip
 gc_sweep        a GC collection plus ``sweep_revoke`` over live memory
 loader_reuse    a freed code segment's range is reloaded with new code
 remote_store    another node patches this node's code through the mesh
+interleave      2-4 threads in separate domains share cluster 0, each
+                with its own registers and lazily mapped data segment
 ==============  ======================================================
 
 The **replay** axis (:func:`diff_replay_axis`) runs every scenario a
@@ -96,18 +98,21 @@ def _roundtrip_mc(mc: Multicomputer) -> tuple[Multicomputer, bytes]:
     return restore_multicomputer(decode_snapshot(blob)), blob
 
 
-def _rebind(chip: MAPChip, thread: Thread) -> tuple[Thread, SecurityMonitor]:
+def _rebind(chip: MAPChip, *threads: Thread) -> tuple:
     """After a round-trip, object identity is gone: re-resolve the
-    thread by tid on the restored chip and attach a fresh monitor
+    threads by tid on the restored chip and attach one fresh monitor
     (monitors are code, not state — ``note_spawn`` re-baselines I1 at
-    the thread's *current* privilege, which is what birth privilege
-    means on a restored machine)."""
+    each thread's *current* privilege, which is what birth privilege
+    means on a restored machine).  Returns the threads, then the
+    monitor."""
     from repro.persist.state import threads_by_tid
 
-    thread = threads_by_tid(chip)[thread.tid]
+    by_tid = threads_by_tid(chip)
+    threads = [by_tid[thread.tid] for thread in threads]
     monitor = SecurityMonitor(chip)
-    monitor.note_spawn(thread)
-    return thread, monitor
+    for thread in threads:
+        monitor.note_spawn(thread)
+    return (*threads, monitor)
 
 
 # -- digest helpers -------------------------------------------------------
@@ -353,6 +358,42 @@ def _run_remote_store(case: FuzzCase, fast_paths: bool,
     return digest
 
 
+def _run_interleave(case: FuzzCase, fast_paths: bool,
+                    roundtrip: bool) -> dict:
+    """The program on 2-4 threads of cluster 0, in separate domains.
+    Each thread has its own lazily mapped data segment in r8 and its
+    own r1-r7 (``meta["regs"]``), so skip branches desynchronise the
+    threads, and faults and demand-paging stalls end solo runs at
+    varying round-robin positions.  The digest covers every thread
+    and segment."""
+    sim = Simulation(memory_bytes=2 * 1024 * 1024, fast_paths=fast_paths)
+    entry = sim.load(case.source)
+    threads, segments = [], []
+    for k, values in enumerate(case.meta["regs"]):
+        data = sim.allocate(DATA_BYTES, eager=False)
+        regs = {8: data.word}
+        regs.update(enumerate(values, start=1))
+        thread = sim.spawn(entry, cluster=0, domain=k + 1, regs=regs)
+        for index, value in case.fregs.items():
+            thread.regs.write_f(index, value)
+        threads.append(thread)
+        segments.append((data.segment_base, DATA_BYTES))
+    monitor = SecurityMonitor(sim.chip)
+    for thread in threads:
+        monitor.note_spawn(thread)
+    snapshot = None
+    budget = MAX_CYCLES
+    if roundtrip:
+        budget -= sim.run(ROUNDTRIP_AFTER).cycles
+        sim, snapshot = _roundtrip_sim(sim)
+        *threads, monitor = _rebind(sim.chip, *threads)
+    sim.run(budget)
+    digest = _digest_chip(sim.chip, threads, segments, [monitor])
+    if snapshot is not None:
+        digest["_snapshot"] = snapshot
+    return digest
+
+
 _RUNNERS = {
     "plain": _run_program_scenario,
     "self_modify": _run_program_scenario,
@@ -362,6 +403,7 @@ _RUNNERS = {
     "gc_sweep": _run_gc_sweep,
     "loader_reuse": _run_loader_reuse,
     "remote_store": _run_remote_store,
+    "interleave": _run_interleave,
 }
 
 

@@ -196,6 +196,9 @@ class MAPChip:
         #: reads two ints per cycle instead of summing over clusters
         self._ready_count = 0
         self._runnable_count = 0
+        #: clusters holding at least one ready thread (solo runs and
+        #: superblock traces need exactly one)
+        self._ready_clusters = 0
         self.clusters = [
             Cluster(i, self, slots=c.threads_per_cluster) for i in range(c.clusters)
         ]
@@ -237,6 +240,10 @@ class MAPChip:
         #: outside the counter file)
         self.superblock_blocks = 0
         self.superblock_bundles = 0
+        #: solo-run telemetry (same reasoning): dispatches of
+        #: :meth:`_run_solo` and the bundles they issued
+        self.solo_runs = 0
+        self.solo_bundles = 0
         #: (pointer word, offset) -> derived pointer, shared by every
         #: cluster's LEA paths (IP advance, branches, address
         #: arithmetic).  LEA is a pure function of pointer bits, so
@@ -645,6 +652,63 @@ class MAPChip:
             return 0
         return cluster.run_superblock(thread, now, end)
 
+    def _run_solo(self, horizon: int) -> int:
+        """Step the one cluster holding ready threads alone, cycle by
+        cycle, for as long as nothing else on the chip can act.
+
+        This is the per-cycle twin of a superblock trace, for several
+        ready threads: every cycle still goes through
+        :meth:`Cluster.step` (wake scan, round-robin select,
+        domain-switch stall, fetch, issue), so threads in any mix of
+        protection domains interleave exactly as stepping interleaves
+        them.  What is hoisted is the chip's own per-cycle work: the
+        run loop's checks, and :meth:`step`'s visit to every cluster.
+
+        Eligibility is checked once per dispatch: no other cluster is
+        mid-drain (pending thread or active stall), and the run is
+        bounded by the earliest blocked-thread wake-up, so until then
+        every other cluster only idles, and that is settled in bulk at
+        exit.  The run also ends after any cycle that changes the
+        chip's ready count (a block, halt or fault) or raises a fault
+        (whose handler may act on any thread), so the caller decides
+        again with fresh counts.  Returns the cycles advanced (0 when
+        ineligible; the caller then steps).
+        """
+        start = now = self.now
+        cluster = None
+        for cl in self.clusters:
+            if cl._n_ready:
+                cluster = cl
+            elif cl._pending is not None or now < cl._stall_until:
+                return 0
+        wake = self.next_wake()
+        end = horizon if wake is None else min(wake, horizon)
+        if end <= now:
+            return 0
+        stats = self.stats
+        ready = self._ready_count
+        faults = stats.faults
+        step = cluster.step
+        issued = 0
+        while True:
+            self.now = now
+            if step(now):
+                issued += 1
+            now += 1
+            if (now == end or self._ready_count != ready
+                    or stats.faults != faults):
+                break
+        cycles = now - start
+        self.now = now
+        stats.cycles += cycles
+        stats.issued_bundles += issued
+        for cl in self.clusters:
+            if cl is not cluster:
+                cl.idle_cycles += cycles
+        self.solo_runs += 1
+        self.solo_bundles += issued
+        return cycles
+
     def run(self, max_cycles: int = 1_000_000) -> RunResult:
         """Run until every thread is halted (or faulted with no handler
         to resume it), the machine deadlocks, or ``max_cycles`` pass.
@@ -654,16 +718,21 @@ class MAPChip:
         thread is blocked on memory are fast-forwarded to the earliest
         wake-up instead of being stepped one empty cycle at a time
         (cycle totals, utilization and per-cluster idle accounting are
-        identical to stepping), and a lone ready thread runs superblock
-        traces.  A ``fast_paths=False`` machine does neither.
+        identical to stepping).  While every ready thread sits on one
+        cluster, a lone one runs superblock traces and several run solo
+        (that cluster stepped alone).  A ``fast_paths=False`` machine
+        does none of this.
         """
         start_cycle = self.now
         start_bundles = self.stats.issued_bundles
         idle_streak = 0
         fast = self.config.fast_paths
-        # superblocks need a single node: a mesh runs in lockstep
-        # through step(), and remote writes may invalidate code between
-        # any two cycles
+        # no superblock traces on a mesh node: the trace loop has no
+        # REMOTE_WAIT exit, so a remote load inside a trace would be
+        # charged as a stall of ~2**60 cycles.  (Adding that exit does
+        # not pay: the windows cut traces to ~4 bundles, and serve_mesh
+        # measured no faster; PERF.md §6.)  Solo runs share the gate,
+        # so a mesh node still steps every cycle (ROADMAP).
         turbo = fast and self.router is None
         while self.now - start_cycle < max_cycles:
             if self._runnable_count == 0:
@@ -687,11 +756,20 @@ class MAPChip:
                     idle_streak += target - self.now
                     self._skip_idle(target - self.now)
                     continue
-            if turbo and self._ready_count == 1 and not self.obs.hot:
-                # exactly one thread can issue: try to run its whole
-                # straight-line superblock in one dispatch (hot tracing
-                # wants a per-bundle event stream, so it opts out)
-                if self._run_superblock(start_cycle + max_cycles):
+            if turbo and self._ready_clusters == 1:
+                # one cluster can issue: step it alone while several
+                # threads are ready there; a lone one tries to run its
+                # whole straight-line superblock in one dispatch (hot
+                # tracing wants a per-bundle event stream, so traces
+                # opt out)
+                horizon = start_cycle + max_cycles
+                if self._ready_count > 1:
+                    advanced = self._run_solo(horizon)
+                elif self.obs.hot:
+                    advanced = 0
+                else:
+                    advanced = self._run_superblock(horizon)
+                if advanced:
                     idle_streak = 0
                     continue
             issued = self.step()

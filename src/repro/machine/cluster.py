@@ -164,10 +164,14 @@ class Cluster:
     def _count(self, state: ThreadState, delta: int) -> None:
         """Adjust this cluster's (and the chip's) occupancy counts."""
         if state is ThreadState.READY:
-            self._n_ready += delta
+            ready = self._n_ready
+            self._n_ready = ready + delta
             chip = self.chip
             chip._ready_count += delta
             chip._runnable_count += delta
+            if not ready or ready + delta == 0:
+                # this cluster starts or stops holding ready threads
+                chip._ready_clusters += delta
         elif state is ThreadState.BLOCKED:
             self._n_blocked += delta
             self.chip._runnable_count += delta

@@ -120,12 +120,13 @@ def dump_snapshot_bytes(dump: dict) -> bytes | None:
     return base64.b64decode(encoded) if encoded else None
 
 
-def replay_crash(path: str | Path, log=None) -> list:
+def replay_crash(path: str | Path | dict, log=None) -> list:
     """Re-run a dump's case through every diff axis; returns the
-    divergences observed *now* (empty = the bug no longer reproduces)."""
+    divergences observed *now* (empty = the bug no longer reproduces).
+    ``path`` may also be a dump :func:`read_crash_dump` already read."""
     from repro.fuzz.runner import run_case
 
-    dump = read_crash_dump(path)
+    dump = path if isinstance(path, dict) else read_crash_dump(path)
     case = decode_case(dump["case"])
     if log:
         d = dump["divergence"]

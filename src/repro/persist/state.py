@@ -369,6 +369,7 @@ def restore_chip_state(chip: "MAPChip", state: dict) -> None:
 
     chip._ready_count = 0
     chip._runnable_count = 0
+    chip._ready_clusters = 0
     for cluster, cstate in zip(chip.clusters, state["clusters"]):
         if len(cstate["slots"]) != len(cluster.slots):
             raise SnapshotError("snapshot slot count differs from cluster's")

@@ -111,6 +111,28 @@ class TestFastPathsAxisSabotage:
         monkeypatch.setattr(Cluster, "_sb_exit", forgets_idle_clusters)
         self._assert_caught(self.LOOP, "cluster1.idle")
 
+    def test_solo_run_must_charge_idle_clusters(self, monkeypatch):
+        from repro.machine.chip import MAPChip
+        run_solo = MAPChip._run_solo
+
+        def forgets_idle_clusters(self, horizon):
+            before = [cl.idle_cycles for cl in self.clusters]
+            cycles = run_solo(self, horizon)
+            for cl, idle in zip(self.clusters, before):
+                if cl.idle_cycles == idle + cycles:
+                    cl.idle_cycles = idle
+            return cycles
+
+        monkeypatch.setattr(MAPChip, "_run_solo", forgets_idle_clusters)
+        # two threads share cluster 0, so run() steps it alone; no
+        # other scenario runs two threads at once
+        case = FuzzCase(seed=0, scenario="interleave",
+                        source=("movi r12, 3\ntop:\nbeq r12, out\n"
+                                "ld r3, r8, 0\nsubi r12, r12, 1\n"
+                                "br top\nout:\nhalt"),
+                        meta={"regs": [[0] * 7, [5] * 7]})
+        self._assert_caught(case, "cluster1.idle")
+
     def test_idle_skip_must_charge_the_clusters(self, monkeypatch):
         from repro.machine.chip import MAPChip
         skip = MAPChip._skip_idle

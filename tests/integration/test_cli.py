@@ -198,3 +198,29 @@ class TestQuickstartTraceAcceptance:
         tracks = {e["args"]["name"] for e in trace["traceEvents"]
                   if e["ph"] == "M" and e["name"] == "thread_name"}
         assert any(t.startswith("cluster") for t in tracks)
+
+
+class TestMissingInputPath:
+    """A command whose input path does not exist says so in one line on
+    stderr and exits 2 — no traceback."""
+
+    @pytest.mark.parametrize("command", [
+        ["asm", "{missing}"],
+        ["disasm", "{missing}"],
+        ["run", "{missing}"],
+        ["trace", "{missing}"],
+        ["snapshot", "{missing}", "{out}"],
+        ["counters", "--diff", "{missing}", "{missing}"],
+        ["restore", "{missing}"],
+        ["replay", "{missing}"],
+        ["compare", "--trace", "{missing}"],
+    ], ids=lambda argv: argv[0])
+    def test_reports_and_exits_2(self, command, tmp_path, capsys):
+        missing = str(tmp_path / "absent")
+        argv = [arg.format(missing=missing, out=tmp_path / "out.snap")
+                for arg in command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == (f"repro {command[0]}: cannot read {missing}: "
+                       "No such file or directory\n")
+        assert not (tmp_path / "out.snap").exists()

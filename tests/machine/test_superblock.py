@@ -1,11 +1,14 @@
-"""Superblock turbo execution (PERF.md §6): bulk straight-line dispatch
-must be invisible — identical cycles, identical counter snapshots,
-identical flight-recorder contents — between ``run()`` and stepping the
-same machine one cycle at a time, for every functional unit, across
-mid-superblock invalidation (self-modifying stores, unmap, swap-out,
-remote writes) and across a snapshot taken while a superblock is hot.
-The per-cycle sweeps compare against the plain machine
-(``fast_paths=False``) outside the shortcut tallies."""
+"""Superblock turbo execution and solo runs (PERF.md §6): bulk
+straight-line dispatch, and stepping one cluster alone while several
+threads are ready there, must be invisible — identical cycles,
+identical counter snapshots, identical flight-recorder contents, the
+same per-thread stats — between ``run()`` and stepping the same machine
+one cycle at a time, for every functional unit, at every way a solo
+run can end, across mid-superblock invalidation (self-modifying stores,
+unmap, swap-out, remote writes) and across a snapshot taken while a
+superblock or solo run is hot.  The concurrent and mesh sweeps compare
+against the plain machine (``fast_paths=False``) outside the shortcut
+tallies."""
 
 import pytest
 
@@ -74,6 +77,13 @@ def assert_parity(sim_run, res_run, sim_step, res_step):
     assert sim_run.chip.obs.flight.dump() == sim_step.chip.obs.flight.dump()
     assert ([type(r.cause).__name__ for r in sim_run.chip.fault_log] ==
             [type(r.cause).__name__ for r in sim_step.chip.fault_log])
+    assert thread_view(sim_run) == thread_view(sim_step)
+
+
+def thread_view(sim):
+    """Every thread's end state and per-thread stats, by tid."""
+    return [(t.tid, t.state, t.stats, t.regs.snapshot())
+            for t in sim.threads]
 
 
 # -- per-functional-unit parity (one workload per unit/op class) ----------
@@ -263,16 +273,324 @@ class TestUnitParity:
         assert_parity(*run_pair(source, data_bytes=4096, eager=False))
 
 
-# -- the per-cycle path: concurrent threads, and a mesh -------------------
+# -- solo runs: several ready threads on one cluster --------------------
+
+def spawn_all(sim, entries, regs_list):
+    """One thread per (entry, registers) on cluster 0, domains 1, 2, …"""
+    return [sim.spawn(entry, cluster=0, domain=k + 1, regs=regs)
+            for k, (entry, regs) in enumerate(zip(entries, regs_list))]
+
+
+def assert_three_way(build):
+    """``build(fast_paths)`` sets up a fresh :class:`Simulation`.  Its
+    ``run()`` must match per-cycle stepping with the shortcuts on
+    (everything but idle fast-forward's tally) and the plain machine
+    (outside the shortcut tallies); returns the ``run()`` machine."""
+    sim_run = build(True)
+    res_run = finish(sim_run, True)
+    sim_step = build(True)
+    assert_parity(sim_run, res_run, sim_step, finish(sim_step, False))
+    assert sim_step.chip.solo_runs == 0
+    plain = build(False)
+    res_plain = finish(plain, True)
+    assert (res_plain.cycles, res_plain.reason, res_plain.issued_bundles) \
+        == (res_run.cycles, res_run.reason, res_run.issued_bundles)
+    assert without_shortcut_tallies(plain.snapshot()) == \
+        without_shortcut_tallies(sim_run.snapshot())
+    assert plain.chip.obs.flight.dump() == sim_run.chip.obs.flight.dump()
+    assert thread_view(plain) == thread_view(sim_run)
+    assert plain.chip.superblock_blocks == plain.chip.solo_runs == 0
+    return sim_run
+
+
+@pytest.fixture
+def solo_runs(monkeypatch):
+    """Records ``(ready threads at entry, cycles)`` for every solo run."""
+    run_solo = MAPChip._run_solo
+    runs = []
+
+    def recording(self, horizon):
+        ready = self._ready_count
+        cycles = run_solo(self, horizon)
+        if cycles:
+            runs.append((ready, cycles))
+        return cycles
+
+    monkeypatch.setattr(MAPChip, "_run_solo", recording)
+    return runs
+
+
+class TestSoloRuns:
+    """Each way a solo run can end, pinned against stepping and against
+    the plain machine."""
+
+    WALK = """
+        movi r2, 100
+    loop:
+        ld   r3, r8, 0
+        lea  r8, r8, 8
+        subi r2, r2, 1
+        bne  r2, loop
+        halt
+    """
+
+    def test_fault_ends_the_run(self, solo_runs):
+        # four threads walk r8 off data segments of different sizes, so
+        # they fault one at a time, each fault ending a solo run
+        sizes = (512, 64, 256, 128)
+
+        def build(fast_paths):
+            sim = Simulation(memory_bytes=MEMORY, fast_paths=fast_paths)
+            data = [sim.allocate(n, eager=True).word for n in sizes]
+            entry = sim.load(self.WALK)
+            spawn_all(sim, [entry] * 4, [{8: d} for d in data])
+            return sim
+
+        sim = assert_three_way(build)
+        assert [t.state for t in sim.threads] == [ThreadState.FAULTED] * 4
+        assert {4, 3, 2} <= {ready for ready, _ in solo_runs}
+        # the last thread, alone, runs superblock traces
+        assert sim.chip.superblock_blocks > 0
+
+    def test_block_on_a_cache_miss(self):
+        # lazy segments: first touches demand-page and miss, blocking
+        # one thread while the others run on
+        source = """
+            movi r2, 40
+        loop:
+            ld   r3, r8, 0
+            ld   r4, r8, 2048
+            addi r5, r5, 3
+            subi r2, r2, 1
+            bne  r2, loop
+            halt
+        """
+
+        def build(fast_paths):
+            sim = Simulation(memory_bytes=MEMORY, fast_paths=fast_paths)
+            data = [sim.allocate(4096, eager=False).word for _ in range(3)]
+            entry = sim.load(source)
+            spawn_all(sim, [entry] * 3, [{8: d} for d in data])
+            return sim
+
+        sim = assert_three_way(build)
+        assert all(t.stats.stall_cycles > 0 for t in sim.threads)
+        assert sim.chip.solo_runs > 0
+
+    def test_halt_while_the_others_run_on(self, solo_runs):
+        source = """
+        loop:
+            addi r3, r3, 1
+            subi r2, r2, 1
+            bne  r2, loop
+            halt
+        """
+        counts = (50, 300, 120, 200)
+
+        def build(fast_paths):
+            sim = Simulation(memory_bytes=MEMORY, fast_paths=fast_paths)
+            entry = sim.load(source)
+            spawn_all(sim, [entry] * 4, [{2: n} for n in counts])
+            return sim
+
+        sim = assert_three_way(build)
+        assert [t.regs.read(3).value for t in sim.threads] == list(counts)
+        # solo runs with 4, then 3, then 2 threads; then a lone one traces
+        assert [ready for ready, _ in solo_runs] == [4, 3, 2]
+        assert sim.chip.superblock_blocks > 0
+
+    def test_store_over_the_bundle_another_is_about_to_issue(self):
+        # thread A's loop stores over the first bundle of thread B's
+        # loop; the loops have the same length and start together, so
+        # B issues that bundle the cycle after A's store
+        writer = """
+            movi r2, 40
+        loop:
+            st   r10, r9, 0
+            addi r4, r4, 1
+            subi r2, r2, 1
+            bne  r2, loop
+            halt
+        """
+        patched = """
+        loop:
+            movi r3, 1
+            addi r4, r4, 1
+            subi r2, r2, 1
+            bne  r2, loop
+            halt
+        """
+        from repro.core.permissions import Permission
+        from repro.core.pointer import GuardedPointer
+
+        def build(fast_paths):
+            sim = Simulation(memory_bytes=MEMORY, fast_paths=fast_paths)
+            entry_a = sim.load(writer)
+            entry_b = sim.load(patched)
+            alias = GuardedPointer.make(Permission.READ_WRITE,
+                                        entry_b.seglen, entry_b.address)
+            donor = sim.load("movi r3, 2\nhalt")
+            word = sim.chip.memory.load_word(
+                sim.chip.page_table.walk(donor.address))
+            spawn_all(sim, [entry_a, entry_b],
+                      [{9: alias.word, 10: word}, {2: 41}])
+            return sim
+
+        sim = assert_three_way(build)
+        assert sim.threads[1].regs.read(3).value == 2
+        assert sim.chip.decode_invalidations >= 40
+        assert sim.chip.solo_runs > 0
+
+    def test_blocked_thread_on_another_cluster_bounds_the_run(self):
+        # cluster 1 strides through cold lines, blocking on every miss;
+        # each of its wake-ups must end cluster 0's solo run on time
+        striding = """
+            movi r2, 30
+        loop:
+            ld   r3, r8, 0
+            lea  r8, r8, 64
+            subi r2, r2, 1
+            bne  r2, loop
+            halt
+        """
+        spinning = """
+            movi r2, 400
+        loop:
+            addi r3, r3, 1
+            subi r2, r2, 1
+            bne  r2, loop
+            halt
+        """
+
+        def build(fast_paths):
+            sim = Simulation(memory_bytes=MEMORY, fast_paths=fast_paths)
+            data = sim.allocate(4096, eager=True)
+            spin = sim.load(spinning)
+            spawn_all(sim, [spin, spin], [{}, {}])
+            sim.spawn(sim.load(striding), cluster=1, domain=3,
+                      regs={8: data.word})
+            return sim
+
+        sim = assert_three_way(build)
+        assert sim.threads[2].stats.stall_cycles > 0
+        assert sim.chip.solo_runs > 10
+
+    @pytest.mark.parametrize("domains,stalls", [((1, 2), True),
+                                                ((5, 5), False)])
+    def test_domain_switch_penalty(self, domains, stalls):
+        # a conventional machine pays to switch domains: a solo run
+        # keeps every stall of mixed domains, and one domain has none
+        source = UNIT_WORKLOADS["int-alu-imm"]
+
+        def build(fast_paths):
+            sim = Simulation(ChipConfig(memory_bytes=MEMORY,
+                                        domain_switch_penalty=3,
+                                        fast_paths=fast_paths))
+            entry = sim.load(source)
+            for domain in domains:
+                sim.spawn(entry, cluster=0, domain=domain)
+            return sim
+
+        sim = assert_three_way(build)
+        assert (sim.chip.clusters[0].switch_stall_cycles > 0) is stalls
+        assert sim.chip.solo_runs > 0
+
+    def test_traced_events_match_stepping(self):
+        # a hot trace keeps solo runs on (only superblock traces opt
+        # out); events raised mid-cycle, like a TLB walk on a
+        # demand-paging fault, read the chip clock, which a solo run
+        # keeps current every cycle
+        source = """
+            movi r2, 30
+        loop:
+            ld   r3, r8, 0
+            ld   r4, r8, 2048
+            lea  r8, r8, 64
+            subi r2, r2, 1
+            bne  r2, loop
+            halt
+        """
+
+        def traced(turbo):
+            sim = Simulation(memory_bytes=MEMORY)
+            data = [sim.allocate(8192, eager=False).word for _ in range(3)]
+            entry = sim.load(source)
+            spawn_all(sim, [entry] * 3, [{8: d} for d in data])
+            with sim.trace() as session:
+                finish(sim, turbo)
+            return sim, session.events
+
+        sim, events = traced(True)
+        _, stepped = traced(False)
+        assert sim.chip.solo_runs > 0
+        assert {"tlb.miss_walk", "fault.raise"} <= {e.name for e in events}
+        assert events == stepped
+
+    STORE_LOOP = """
+        movi r2, 300
+    loop:
+        addi r3, r3, 1
+        st   r3, r8, 0
+        subi r2, r2, 1
+        bne  r2, loop
+        halt
+    """
+
+    def build_store_loop(self, fast_paths=True):
+        sim = Simulation(memory_bytes=MEMORY, fast_paths=fast_paths)
+        data = [sim.allocate(256, eager=True).word for _ in range(3)]
+        entry = sim.load(self.STORE_LOOP)
+        spawn_all(sim, [entry] * 3, [{8: d} for d in data])
+        return sim
+
+    def test_cut_at_any_horizon(self):
+        # a horizon ends the run at every round-robin position in turn:
+        # the machine state there (cursor, last domain, per-thread
+        # stats, counters) is the state stepping leaves
+        for horizon in range(60, 130, 7):
+            solo, stepped = self.build_store_loop(), self.build_store_loop()
+            solo.run(horizon)
+            stepped.step(horizon)
+            assert solo.chip.solo_runs > 0
+            assert solo.capture_state() == stepped.capture_state(), horizon
+
+    def test_snapshot_mid_run(self, tmp_path):
+        build = self.build_store_loop
+        sim = build(True)
+        sim.run(101)  # the horizon lands mid-run
+        assert sim.now == 101
+        assert sim.chip.solo_runs > 0
+        restored = Simulation.restore(sim.save(tmp_path / "hot.snap"))
+        assert restored.capture_state() == sim.capture_state()
+        assert restored.chip._ready_clusters == sim.chip._ready_clusters == 1
+        runs = restored.chip.solo_runs
+
+        live, back = sim.run(100_000), restored.run(100_000)
+        assert live.reason == back.reason == "halted"
+        assert live.cycles == back.cycles
+        assert restored.chip.solo_runs > runs
+        assert {k: v for k, v in sim.snapshot().items()
+                if not k.startswith("flight.")} == \
+            {k: v for k, v in restored.snapshot().items()
+             if not k.startswith("flight.")}
+        assert sim.capture_state() == restored.capture_state()
+        clean = build(False)
+        clean.run(100_000)
+        assert clean.now == sim.now
+        assert thread_view(clean) == thread_view(sim)
+
+
+# -- concurrent threads against the plain machine, and a mesh -------------
 #
-# Turbo needs exactly one ready thread on an un-meshed chip, so the sweep
-# above runs each unit through superblock traces.  The sweeps below send
-# the same workloads down the per-cycle path, which issues the same
-# compiled nodes: several threads in separate protection domains sharing
-# one cluster, and a two-node mesh whose loads and stores are all
-# remote.  Every run is checked against the reference interpreter and
-# against fast_paths=False (walk, decode and compile on every fetch, no
-# memos), outside the shortcut tallies.
+# The sweeps below run each unit's workload as several threads in
+# separate protection domains sharing one cluster — which run() steps
+# through solo runs (the cluster stepped alone, one bundle per cycle
+# through select, fetch and issue) — and on a two-node mesh, where
+# turbo stays off and every load and store is remote.  Every run is
+# checked against the reference interpreter and against the plain
+# machine, fast_paths=False, the per-cycle reference (walk, decode and
+# compile on every fetch, no memos, no solo runs or traces), outside
+# the shortcut tallies.
 
 CODE_BASE = 0x10000
 DATA_BASE = 0x40000
@@ -349,8 +667,9 @@ def assert_matches_reference(source, entry, spawned, chip_for_data):
 
 @pytest.mark.parametrize("unit", sorted(UNIT_WORKLOADS))
 class TestPerCycleUnitParity:
-    """Each unit's compiled closures on the per-cycle path, with 2–4
-    threads interleaved cycle by cycle on one cluster."""
+    """Each unit's compiled closures with 2–4 threads interleaved cycle
+    by cycle on one cluster: solo runs against the plain per-cycle
+    machine."""
 
     @pytest.mark.parametrize("threads", (2, 3, 4))
     def test_concurrent_threads(self, unit, threads):
@@ -367,9 +686,12 @@ class TestPerCycleUnitParity:
         assert off_result.issued_bundles == result.issued_bundles
         assert [t.regs.snapshot() for t, _, _ in off_spawned] == \
             [t.regs.snapshot() for t, _, _ in spawned]
+        assert [t.stats for t, _, _ in off_spawned] == \
+            [t.stats for t, _, _ in spawned]
         assert without_shortcut_tallies(off.counters.snapshot()) == \
             without_shortcut_tallies(chip.counters.snapshot())
         assert off.obs.flight.dump() == chip.obs.flight.dump()
+        assert chip.solo_bundles >= 0.9 * result.issued_bundles
 
 
 @pytest.mark.parametrize("unit", sorted(NEEDS_DATA))

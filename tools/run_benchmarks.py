@@ -306,11 +306,15 @@ def main(argv: list[str] | None = None) -> int:
         lambda: cycle_loop_measure(iterations=300 if q else 2000),
         trials, warmup,
         check=requires(cycles_equal="cycle-loop timing models diverged",
-                       decode_hits_engaged="decode cache stopped engaging"))
+                       decode_hits_engaged="decode cache stopped engaging",
+                       e5_solo="solo runs stopped engaging on E5's four "
+                               "threads"))
     print(f"  {median_of(r_loop, 'speedup'):.2f}x over the pre-rework loop "
           f"({median_of(r_loop, 'new_cycles_per_s'):,.0f} vs "
           f"{median_of(r_loop, 'legacy_cycles_per_s'):,.0f} cycles/s), "
-          f"{median_of(r_loop, 'decode_hit_share'):.2%} decode-cache hits")
+          f"{median_of(r_loop, 'decode_hit_share'):.2%} decode-cache hits, "
+          f"solo runs issue {median_of(r_loop, 'solo_share'):.2%} "
+          f"of bundles")
 
     print("running data-stream microbenchmark ...")
     r_stream = run_trials(
