@@ -29,15 +29,28 @@ from __future__ import annotations
 from repro.core import constants as c
 from repro.core.exceptions import (
     BoundsFault,
+    EncodingFault,
     PermissionFault,
     PrivilegeFault,
     RestrictFault,
     SubsegFault,
     TagFault,
 )
-from repro.core.permissions import Permission, Right, is_strict_subset, rights_of
+from repro.core.permissions import (
+    PERMISSION_BY_CODE,
+    Permission,
+    Right,
+    is_strict_subset,
+    rights_of,
+)
 from repro.core.pointer import GuardedPointer
 from repro.core.word import TaggedWord
+
+#: Whether each 4-bit permission field carries the MODIFY right (LEA's
+#: check), indexed like :data:`PERMISSION_BY_CODE`.
+_MODIFY_BY_CODE = tuple(
+    perm is not None and bool(rights_of(perm) & Right.MODIFY)
+    for perm in PERMISSION_BY_CODE)
 
 
 def _require_pointer(word: TaggedWord, what: str) -> GuardedPointer:
@@ -66,22 +79,43 @@ def lea(word: TaggedWord, offset: int) -> GuardedPointer:
     if any *fixed* (segment) bit of the address changes — the masked
     comparator of Figure 2.  Over- and underflow out of the 54-bit
     space are likewise faults.
+
+    Every check reads the word's bits directly, in the order (and with
+    the messages) of the field-by-field checks the other operations
+    make: tag, reserved permission code, MODIFY right, the 54-bit
+    range, an out-of-range length field, then the masked compare.  The
+    result is the same word with its address field replaced, which is
+    the word :meth:`GuardedPointer.make` would encode.
     """
-    ptr = _require_pointer(word, "LEA")
-    _require_right(ptr, Right.MODIFY, "pointer arithmetic")
-    new_address = ptr.address + offset
+    if not word.tag:
+        raise TagFault("LEA requires a guarded pointer, got an integer")
+    value = word.value
+    code = value >> c.PERM_SHIFT
+    if not _MODIFY_BY_CODE[code]:
+        perm = PERMISSION_BY_CODE[code]
+        if perm is None:
+            raise ValueError(f"reserved permission code: {code}")
+        raise PermissionFault(
+            f"pointer arithmetic not permitted by {perm.name} pointer")
+    address = value & c.ADDRESS_MASK
+    new_address = address + offset
     if not 0 <= new_address <= c.ADDRESS_MASK:
         raise BoundsFault(
             f"LEA overflowed the {c.ADDRESS_BITS}-bit address space: "
-            f"{ptr.address:#x} + {offset}"
+            f"{address:#x} + {offset}"
         )
-    mask = c.segment_mask(ptr.seglen)
-    if (new_address & mask) != (ptr.address & mask):
+    seglen = (value >> c.LENGTH_SHIFT) & c.LENGTH_FIELD_MASK
+    if seglen > c.MAX_SEGLEN:
+        raise ValueError(f"segment length field out of range: {seglen}")
+    if (new_address ^ address) >> seglen:
+        base = address >> seglen << seglen
         raise BoundsFault(
-            f"LEA left the segment: {ptr.address:#x} + {offset} is outside "
-            f"[{ptr.segment_base:#x}, {ptr.segment_limit:#x})"
+            f"LEA left the segment: {address:#x} + {offset} is outside "
+            f"[{base:#x}, {base + (1 << seglen):#x})"
         )
-    return ptr.with_fields(address=new_address)
+    # the address field neither over- nor underflowed, so adding the
+    # offset to the whole word replaces just that field
+    return GuardedPointer(TaggedWord(value + offset, True))
 
 
 def leab(word: TaggedWord, offset: int) -> GuardedPointer:
@@ -143,11 +177,23 @@ def setptr(word: TaggedWord, privileged: bool) -> GuardedPointer:
 
     Only legal in privileged mode (an execute-privileged instruction
     pointer); this is the single amplification point of the whole
-    architecture.
+    architecture.  User code reaches it only through enter-privileged
+    gateways, which check their arguments before forging (see
+    :mod:`repro.runtime.services`).  The integer must encode a pointer:
+    a reserved permission code or a segment length above 54 raises
+    :class:`EncodingFault` here, where the forge is, rather than at the
+    first use of the result.
     """
     if not privileged:
         raise PrivilegeFault("SETPTR requires privileged mode")
-    return GuardedPointer.from_word(TaggedWord(word.value, tag=True))
+    value = word.value
+    code = value >> c.PERM_SHIFT
+    if PERMISSION_BY_CODE[code] is None:
+        raise EncodingFault(f"reserved permission code: {code}")
+    seglen = (value >> c.LENGTH_SHIFT) & c.LENGTH_FIELD_MASK
+    if seglen > c.MAX_SEGLEN:
+        raise EncodingFault(f"segment length field out of range: {seglen}")
+    return GuardedPointer(TaggedWord(value, tag=True))
 
 
 def ispointer(word: TaggedWord) -> TaggedWord:

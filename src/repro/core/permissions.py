@@ -83,14 +83,22 @@ _RIGHTS: dict[Permission, Right] = {
 }
 
 
+#: The member of each 4-bit permission field, ``None`` for the reserved
+#: codes 7..15.  Decoding a field is an index here rather than an
+#: ``Enum`` construction: every pointer check decodes one.
+PERMISSION_BY_CODE: tuple[Permission | None, ...] = tuple(
+    Permission(code) if code <= Permission.KEY else None
+    for code in range(PERM_FIELD_MASK + 1))
+
+
 def decode_permission(field: int) -> Permission:
     """Decode a 4-bit permission field; reserved codes raise ValueError."""
     if not 0 <= field <= PERM_FIELD_MASK:
         raise ValueError(f"permission field out of range: {field}")
-    try:
-        return Permission(field)
-    except ValueError:
-        raise ValueError(f"reserved permission code: {field}") from None
+    perm = PERMISSION_BY_CODE[field]
+    if perm is None:
+        raise ValueError(f"reserved permission code: {field}")
+    return perm
 
 
 def rights_of(perm: Permission) -> Right:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from repro.core import constants as c
 from repro.core.exceptions import EncodingFault, TagFault
-from repro.core.permissions import Permission, decode_permission
+from repro.core.permissions import PERMISSION_BY_CODE, Permission
 from repro.core.word import TaggedWord
 
 
@@ -81,14 +81,21 @@ class GuardedPointer:
         """
         if not word.tag:
             raise TagFault("word is not tagged as a pointer")
-        decode_permission((word.value >> c.PERM_SHIFT) & c.PERM_FIELD_MASK)
+        field = word.value >> c.PERM_SHIFT
+        if PERMISSION_BY_CODE[field] is None:
+            raise ValueError(f"reserved permission code: {field}")
         return GuardedPointer(word)
 
     # -- architectural fields ----------------------------------------
 
     @property
     def permission(self) -> Permission:
-        return decode_permission((self.word.value >> c.PERM_SHIFT) & c.PERM_FIELD_MASK)
+        # a word's value is 64 bits, so the shift leaves the 4-bit field
+        field = self.word.value >> c.PERM_SHIFT
+        perm = PERMISSION_BY_CODE[field]
+        if perm is None:
+            raise ValueError(f"reserved permission code: {field}")
+        return perm
 
     @property
     def seglen(self) -> int:

@@ -35,6 +35,11 @@ and code:
   (:meth:`MAPChip.invalidate_decoded_range`, called by the kernel
   loader).
 
+Under the cache, a miss decodes through a *content memo* keyed by the
+three words' values.  Decoding is a pure function of those values, so
+the memo needs no invalidation at all, and code loaded at many
+addresses (every tenant's copy of a gateway) decodes once per chip.
+
 ``ChipConfig(fast_paths=False)`` turns it off together with every
 other simulator shortcut (see :class:`ChipConfig`).
 """
@@ -87,10 +92,12 @@ class ChipConfig:
     domain_switch_penalty: int = 0
     flush_on_domain_switch: bool = False
     #: the simulator's shortcuts, all on or all off.  Some memoize pure
-    #: functions of pointer bits — the decoded-bundle cache, and the
-    #: LEA, access-check and translation-line memos (PERF.md §3, §5);
-    #: the rest batch cycles in which nothing else can act — idle
-    #: fast-forward and superblock traces (§6).  None changes a cycle
+    #: functions of pointer or code bits — the decoded-bundle cache and
+    #: the content memo under it, and the LEA, access-check and
+    #: translation-line memos (PERF.md §3, §5, §8); the rest batch
+    #: cycles in which nothing else can act — idle fast-forward,
+    #: superblock traces (§6) and a mesh window's skip of quiet nodes
+    #: (§8).  None changes a cycle
     #: or a counter outside :data:`SHORTCUT_TALLIES`; ``False`` gives
     #: the plain per-cycle machine the parity tests and the fuzzer's
     #: fast-vs-plain axis compare against.
@@ -234,6 +241,11 @@ class MAPChip:
         #: there, one node per word that passed the fetch checks;
         #: flushed on any unmap
         self._decode_cache: dict[int, dict[int, tuple]] = {}
+        #: the content memo under it (see the module docstring): three
+        #: untagged word values -> their decoded bundle; never flushed
+        self._decoded_words: dict[tuple[int, int, int], Bundle] | None = (
+            {} if c.fast_paths else None
+        )
         #: superblock telemetry (plain attributes, deliberately *not*
         #: PerfCounters: counter snapshots must be bit-identical whether
         #: traces ran or not, so engine-utilization introspection lives
@@ -395,6 +407,13 @@ class MAPChip:
         decoded words.  Translation is re-walked whenever the cache
         cannot answer — so an unmapped code page faults exactly as
         before.
+
+        A miss reads the three words and decodes them through the
+        content memo, keyed by their values: the same code at another
+        address, or rewritten back to what it was, reuses one decode.
+        Tagged words bypass the memo and fail to decode as always.  The
+        memo and the address cache are both ``fast_paths`` shortcuts;
+        the plain machine reads and decodes on every fetch.
         """
         word = ip.word.value
         address = word & _ADDRESS_MASK
@@ -451,7 +470,16 @@ class MAPChip:
             else:
                 physical = self.page_table.walk(vaddr)
                 words.append(self.memory.load_word(physical))
-        node = compile_bundle(self, Bundle.decode(words), ip)
+        memo = self._decoded_words
+        w0, w1, w2 = words
+        if memo is None or w0.tag or w1.tag or w2.tag:
+            bundle = Bundle.decode(words)
+        else:
+            key = (w0.value, w1.value, w2.value)
+            bundle = memo.get(key)
+            if bundle is None:
+                bundle = memo[key] = Bundle.decode(words)
+        node = compile_bundle(self, bundle, ip)
         if self.config.fast_paths:
             self._decode_cache[address] = {word: node}
         return node
@@ -595,12 +623,14 @@ class MAPChip:
         return self._runnable_count
 
     def next_wake(self) -> int | None:
-        """Earliest wake cycle over every blocked thread, or None."""
+        """Earliest wake cycle over every blocked thread, or None.  Only
+        the clusters holding a blocked thread are asked."""
         wake = None
         for cluster in self.clusters:
-            w = cluster.next_wake()
-            if w is not None and (wake is None or w < wake):
-                wake = w
+            if cluster._n_blocked:
+                w = cluster.next_wake()
+                if wake is None or w < wake:
+                    wake = w
         return wake
 
     def _stop_reason(self) -> str:

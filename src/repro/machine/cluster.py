@@ -120,6 +120,10 @@ class Cluster:
         self._n_blocked = 0
         self._n_faulted = 0
         self._n_halted = 0
+        #: bit ``i`` is set while slot ``i`` holds a READY thread; kept
+        #: with the counts by _install, _evict and on_state_change, and
+        #: read by _select
+        self._ready_mask = 0
         #: tid of the last thread this cluster issued from (trace-only:
         #: feeds the ``thread.switch`` event, never read by the model)
         self._last_tid: int | None = None
@@ -142,10 +146,14 @@ class Cluster:
         self.slots[index] = thread
         self._count(thread._state, +1)
         thread.scheduler = self
+        thread.slot = index
+        if thread._state is ThreadState.READY:
+            self._ready_mask |= 1 << index
         return index
 
     def _evict(self, thread: Thread) -> None:
         self._count(thread._state, -1)
+        self._ready_mask &= ~(1 << thread.slot)
         thread.scheduler = None
 
     def remove_thread(self, thread: Thread) -> None:
@@ -185,6 +193,10 @@ class Cluster:
         """Thread.state's setter reports every transition here."""
         self._count(old, -1)
         self._count(new, +1)
+        if new is ThreadState.READY:
+            self._ready_mask |= 1 << thread.slot
+        elif old is ThreadState.READY:
+            self._ready_mask &= ~(1 << thread.slot)
 
     @property
     def ready_count(self) -> int:
@@ -277,14 +289,22 @@ class Cluster:
         return False
 
     def _select(self, now: int) -> Thread | None:
-        n = len(self.slots)
-        for i in range(n):
-            index = (self._next_slot + i) % n
-            thread = self.slots[index]
-            if thread is not None and thread._state is ThreadState.READY:
-                self._next_slot = (index + 1) % n
-                return thread
-        return None
+        """Round-robin: the first READY slot at or after the cursor
+        ``_next_slot``, wrapping around, and the cursor moves past it;
+        None, with the cursor left alone, when nothing is ready.  The
+        scan is a bit scan of the ready mask: the lowest set bit at or
+        above the cursor, else the lowest set bit."""
+        mask = self._ready_mask
+        if not mask:
+            return None
+        start = self._next_slot
+        later = mask >> start
+        if later:
+            index = start + (later & -later).bit_length() - 1
+        else:
+            index = (mask & -mask).bit_length() - 1
+        self._next_slot = index + 1 if index + 1 < len(self.slots) else 0
+        return self.slots[index]
 
     # -- bundle execution ----------------------------------------------------
 
@@ -491,7 +511,7 @@ class Cluster:
         chip.superblock_bundles += n
         self.issued_cycles += n
         # scheduling bookkeeping a per-cycle run would have left behind
-        self._next_slot = (self.slots.index(thread) + 1) % len(self.slots)
+        self._next_slot = (thread.slot + 1) % len(self.slots)
         self.last_domain = thread.domain
         self._last_tid = thread.tid
         for cl in chip.clusters:

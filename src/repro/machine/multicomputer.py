@@ -186,6 +186,12 @@ class Multicomputer:
         #: changes when pages change nodes.
         self._page_homes: dict[int, int] = {}
         self._page_bytes = config.page_bytes
+        #: home_of's shift (the partition's, or past any address on one
+        #: node, whose every address is home) and the node count it
+        #: checks the result against
+        self._home_shift = (self.partition.shift if self.partition.node_bits
+                            else 64)
+        self._node_count = len(self.chips)
         # -- window-engine state ---------------------------------------
         #: conservative lookahead: barrier spacing in cycles
         self.window = window_cycles(hop_cycles, interface_cycles)
@@ -218,8 +224,8 @@ class Multicomputer:
             home = self._page_homes.get(vaddr // self._page_bytes)
             if home is not None:
                 return home
-        home = self.partition.home_of(vaddr)
-        if home >= len(self.chips):
+        home = vaddr >> self._home_shift
+        if home >= self._node_count:
             raise PageFault(vaddr,
                             f"address {vaddr:#x} names node {home} of a "
                             f"{len(self.chips)}-node machine")
@@ -537,48 +543,46 @@ class Multicomputer:
     def _route_effects(self, messages, timing, replies) -> dict[int, list]:
         """Turn home-service replies + broadcast invalidations into
         per-destination effect lists, each sorted by global batch
-        index.  ``replies`` maps message index → reply payload."""
-        per_node: dict[int, list] = {node: [] for node in range(len(self.chips))}
+        index.  ``replies`` maps message index → reply payload.  Only
+        the nodes that receive an effect get a list."""
+        per_node: dict[int, list] = {}
+        nodes = range(len(self.chips))
         for index, msg in enumerate(messages):
             kind = msg[0]
             t, src = msg[1], msg[2]
+            to_src = to_others = None
             if kind == "st":
                 reply = replies[index]
                 if reply[0] == "stdone":
-                    _arrive, reply_cycle = timing[index]
-                    per_node[src].append((index, ["stdone", t, reply_cycle]))
+                    to_src = ["stdone", t, timing[index][1]]
                 else:
-                    per_node[src].append((index, ["sterr", t, reply[1]]))
+                    to_src = ["sterr", t, reply[1]]
                 # unconditional invalidation fan-out: any node may have
                 # the written word decoded or mirrored
-                for node in range(len(self.chips)):
-                    if node != src:
-                        per_node[node].append((index, ["inv", msg[4]]))
+                to_others = ["inv", msg[4]]
             elif kind == "ld":
                 reply = replies[index]
-                seq = msg[3]
                 if reply[0] == "lddone":
-                    _arrive, reply_cycle = timing[index]
-                    per_node[src].append(
-                        (index, ["lddone", t, seq, reply_cycle, reply[1]]))
+                    to_src = ["lddone", t, msg[3], timing[index][1], reply[1]]
                 else:
-                    per_node[src].append((index, ["lderr", t, seq, reply[1]]))
+                    to_src = ["lderr", t, msg[3], reply[1]]
             elif kind == "fetch":
-                reply = replies[index]
-                per_node[src].append((index, ["fill", reply[1]]))
-            elif kind == "inv":
-                for node in range(len(self.chips)):
-                    if node != src:
-                        per_node[node].append((index, ["inv", msg[4]]))
-            elif kind == "invr":
-                for node in range(len(self.chips)):
-                    if node != src:
-                        per_node[node].append(
-                            (index, ["invr", msg[4], msg[5]]))
-            elif kind == "flush":
-                for node in range(len(self.chips)):
-                    if node != src:
-                        per_node[node].append((index, ["flush"]))
+                to_src = ["fill", replies[index][1]]
+            elif kind in ("inv", "invr", "flush"):
+                to_others = [kind, *msg[4:]]
+            if to_src is not None:
+                if src in per_node:
+                    per_node[src].append((index, to_src))
+                else:
+                    per_node[src] = [(index, to_src)]
+            if to_others is not None:
+                for node in nodes:
+                    if node == src:
+                        continue
+                    if node in per_node:
+                        per_node[node].append((index, to_others))
+                    else:
+                        per_node[node] = [(index, to_others)]
         return per_node
 
     def _barrier(self) -> None:
@@ -681,9 +685,13 @@ class Multicomputer:
     def run(self, max_cycles: int = 1_000_000) -> RunResult:
         """Advance the machine in lookahead windows until every thread
         stops (see the module docstring).  Within a window each node
-        runs independently; barriers exchange the queued traffic."""
+        runs independently; barriers exchange the queued traffic.
+
+        The loop keeps the clock itself: a window that leaves the
+        machine runnable leaves every node at its end (the quiet ones
+        idled there), so only a stop re-reads the nodes' clocks."""
         shards = self.shards
-        start = shards.now()
+        start = now = shards.now()
         deadline = start + max_cycles
         issued = 0
         while True:
@@ -695,20 +703,20 @@ class Multicomputer:
                 # lockstep would have stopped at — and report why.
                 shards.collect()
                 self._barrier()
-                last = shards.now()
-                shards.skip_to(last)
+                now = shards.now()
+                shards.skip_to(now)
                 if shards.runnable():
                     continue  # defensive; barrier effects cannot wake
                 reason = (RunReason.FAULTED if shards.faulted()
                           else RunReason.HALTED)
-                return RunResult(last - start, issued, reason)
-            # runnable nodes are clock-aligned here (every window
-            # re-aligns the quiet ones)
-            now = shards.now()
+                return RunResult(now - start, issued, reason)
             if now >= deadline:
                 return RunResult(now - start, issued, RunReason.MAX_CYCLES)
             end = self._next_barrier
-            issued += self._window(end if end < deadline else deadline)
+            if end > deadline:
+                end = deadline
+            issued += self._window(end)
+            now = end
 
     def drain_to_barrier(self) -> None:
         """Bring the machine to a message-quiet point: if any window
@@ -817,13 +825,26 @@ class LocalShards:
         this is exactly the single-chip engine.  A node that goes quiet
         stops at its last live cycle; the loop re-aligns clocks once it
         knows whether the whole machine stopped.  ``drain`` collects
-        the window's traffic for the barrier."""
+        the window's traffic for the barrier.
+
+        With ``fast_paths``, a quiet node — no ready thread and no wake
+        before ``end`` — is not run: all ``chip.run`` would do is
+        idle-skip it to ``end``, so the skip is made directly (here,
+        not by the loop's ``skip_to``, so a sharded worker whose nodes
+        are all quiet still reports them at ``end`` and gets no extra
+        round trip).  The plain machine runs it, stepping every
+        cycle."""
         machine = self.machine
         machine._next_barrier = next_barrier  # fetch_remote reads it
         chips = machine.chips
         issued = 0
         for n in self.owned:
             chip = chips[n]
+            if (not chip._ready_count and chip._runnable_count
+                    and chip.config.fast_paths and chip.now < end
+                    and chip.next_wake() >= end):
+                chip._skip_idle(end - chip.now)
+                continue
             while chip.now < end and chip._runnable_count:
                 issued += chip.run(max_cycles=end - chip.now).issued_bundles
         if drain:

@@ -270,6 +270,11 @@ class ParallelMulticomputer:
             reply = self._conns[w].recv()
         except (EOFError, OSError) as exc:
             self._worker_down(f"worker {w} died mid-reply: {exc}")
+        except Exception as exc:
+            # a frame that does not unpickle leaves the pipe out of
+            # step with the protocol: no later verb could read it
+            self._worker_down(f"worker {w} sent a garbled reply: "
+                              f"{type(exc).__name__}: {exc}")
         if reply[0] == "error":
             self._worker_crashed(w, reply)
         _, result, report, messages = reply

@@ -74,6 +74,9 @@ class Thread:
     #: the cluster whose slot holds this thread (None while unplaced);
     #: set by Cluster.add_thread, notified on every state transition
     scheduler: object | None = field(default=None, repr=False, compare=False)
+    #: the index of that slot (meaningful only while ``scheduler`` is
+    #: set): the bit this thread owns in the cluster's ready mask
+    slot: int = field(default=0, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.ip.permission.is_execute:

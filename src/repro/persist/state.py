@@ -376,13 +376,10 @@ def restore_chip_state(chip: "MAPChip", state: dict) -> None:
         cluster.slots = [None] * len(cluster.slots)
         cluster._n_ready = cluster._n_blocked = 0
         cluster._n_faulted = cluster._n_halted = 0
+        cluster._ready_mask = 0
         for index, tstate in enumerate(cstate["slots"]):
-            if tstate is None:
-                continue
-            thread = decode_thread(tstate)
-            cluster.slots[index] = thread
-            cluster._count(thread._state, +1)
-            thread.scheduler = cluster
+            if tstate is not None:
+                cluster._install(index, decode_thread(tstate))
         cluster._next_slot = int(cstate["next_slot"])
         cluster.last_domain = (None if cstate["last_domain"] is None
                                else int(cstate["last_domain"]))

@@ -23,6 +23,20 @@ r15    return instruction pointer (caller GETIPs)
 The gateways clobber r6–r13 (documented scratch); r14 — the stack
 pointer convention register — is preserved.
 
+**The refusal contract.**  A gateway runs SETPTR, the one instruction
+that can amplify rights, on operands its caller chose, so it returns
+exactly what the hardware instruction it emulates
+(:func:`~repro.core.operations.restrict`,
+:func:`~repro.core.operations.subseg`) returns, and refuses — r5 = the
+untagged word 0 — exactly where that instruction faults:
+
+* either gateway: r3 is not a pointer (its bits would name a segment
+  nobody granted);
+* RESTRICT: r4 is not a permission code 0–6, or its rights are not a
+  strict subset of r3's;
+* SUBSEG: r3's permission has no MODIFY right (enter pointers and
+  keys), or r4, read as an unsigned word, is not below r3's length.
+
 Trap ABI: ``TRAP code`` with r3/r4 as arguments, result in r5.
 """
 
@@ -63,6 +77,12 @@ def _rights_table_words() -> list[str]:
 #: caller can branch on it (a fault would kill the caller's thread).
 RESTRICT_GATEWAY = "\n".join([
     "entry:",
+    "    isptr r7, r3            ; only a pointer can be restricted",
+    "    beq r7, refuse",
+    "    shri r7, r4, 3          ; the new code must be 0..6: below 8",
+    "    bne r7, refuse          ;   as an unsigned word,",
+    "    seqi r7, r4, 7          ;   and not the reserved 7",
+    "    bne r7, refuse",
     "    mov r6, r3",
     "    addi r6, r6, 0          ; strip the tag: pointer bits as integer",
     f"    shri r7, r6, {PERM_SHIFT}   ; old permission code",
@@ -109,8 +129,14 @@ RESTRICT_GATEWAY = "\n".join([
 #: smaller; field replaced, pointer re-forged with SETPTR.
 SUBSEG_GATEWAY = "\n".join([
     "entry:",
+    "    isptr r7, r3            ; only a pointer can be shrunk",
+    "    beq r7, refuse",
     "    mov r6, r3",
     "    addi r6, r6, 0          ; strip the tag",
+    f"    shri r7, r6, {PERM_SHIFT + 2}",
+    "    bne r7, refuse          ; codes 4..6 (enter, key): no MODIFY",
+    "    shri r8, r4, 6          ; the new length must be below 64 as",
+    "    bne r8, refuse          ;   an unsigned word (so slt is exact)",
     f"    shri r7, r6, {LENGTH_SHIFT}",
     "    andi r7, r7, 63         ; old length field",
     "    slt r8, r4, r7          ; new < old ?",

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.core import constants as c
 from repro.core.exceptions import (
     BoundsFault,
+    EncodingFault,
     PermissionFault,
     PrivilegeFault,
     RestrictFault,
@@ -26,8 +27,8 @@ from repro.core.operations import (
     setptr,
     subseg,
 )
-from repro.core.permissions import Permission
-from repro.core.pointer import GuardedPointer
+from repro.core.permissions import Permission, Right, rights_of
+from repro.core.pointer import GuardedPointer, decode_fields
 from repro.core.word import TaggedWord
 
 
@@ -112,6 +113,80 @@ class TestLea:
             return
         assert q.segment_base == p.segment_base
         assert q.segment_size == p.segment_size
+
+
+def fig2_lea(word: TaggedWord, offset: int) -> GuardedPointer:
+    """An independent LEA oracle: decode the fields, check the rights,
+    run Figure 2's masked comparator on the decoded address, and encode
+    the result with :meth:`GuardedPointer.make`."""
+    if not word.tag:
+        raise TagFault("LEA requires a guarded pointer, got an integer")
+    field, seglen, address = decode_fields(word.value)
+    try:
+        perm = Permission(field)
+    except ValueError:
+        raise ValueError(f"reserved permission code: {field}") from None
+    if not rights_of(perm) & Right.MODIFY:
+        raise PermissionFault(
+            f"pointer arithmetic not permitted by {perm.name} pointer")
+    new_address = address + offset
+    if not 0 <= new_address <= c.ADDRESS_MASK:
+        raise BoundsFault(f"LEA overflowed the {c.ADDRESS_BITS}-bit address "
+                          f"space: {address:#x} + {offset}")
+    mask = c.segment_mask(seglen)
+    if new_address & mask != address & mask:
+        base = address & mask
+        raise BoundsFault(f"LEA left the segment: {address:#x} + {offset} "
+                          f"is outside [{base:#x}, {base + (1 << seglen):#x})")
+    return GuardedPointer.make(perm, seglen, new_address)
+
+
+def outcome(fn, *args):
+    """A call's result word, or its exception's type and message."""
+    try:
+        return fn(*args).word
+    except Exception as exc:  # noqa: BLE001 - the comparison is the point
+        return type(exc), str(exc)
+
+
+class TestLeaOracle:
+    """``lea`` works on the word's bits; every path must match the
+    field-by-field oracle: result word, or exception type and message."""
+
+    TOP = c.ADDRESS_MASK
+
+    def offsets(self, seglen: int, address: int) -> set[int]:
+        size = 1 << min(seglen, c.ADDRESS_BITS)
+        base = address & ~(size - 1)
+        limit = base + size
+        edges = {0, 1, -1, limit - address, limit - address - 1,
+                 base - address, base - address - 1,
+                 self.TOP - address, self.TOP - address + 1,
+                 -address, -address - 1, 1 << c.ADDRESS_BITS,
+                 -(1 << c.ADDRESS_BITS)}
+        return edges
+
+    def test_every_code_length_and_edge(self):
+        checked = 0
+        for code in range(16):
+            for seglen in range(64):
+                span = 1 << min(seglen, c.ADDRESS_BITS)
+                for address in {0, span - 1, self.TOP, self.TOP - span + 1,
+                                (0x1234_5678_9AB & self.TOP) | (span >> 1)}:
+                    address &= self.TOP
+                    word = TaggedWord((code << c.PERM_SHIFT)
+                                      | (seglen << c.LENGTH_SHIFT) | address,
+                                      tag=True)
+                    for offset in self.offsets(seglen, address):
+                        assert outcome(lea, word, offset) == \
+                            outcome(fig2_lea, word, offset), \
+                            (code, seglen, hex(address), offset)
+                        checked += 1
+        assert checked > 40_000
+
+    def test_integer_operand(self):
+        word = ptr().as_integer()
+        assert outcome(lea, word, 8) == outcome(fig2_lea, word, 8)
 
 
 class TestLeab:
@@ -210,9 +285,27 @@ class TestSetptrIspointer:
             setptr(raw, privileged=False)
 
     def test_setptr_forges_pointer(self):
-        original = ptr(Permission.EXECUTE_PRIV, 10, 0x8000)
-        forged = setptr(original.as_integer(), privileged=True)
-        assert forged == original
+        for perm in Permission:
+            for seglen in (0, 10, c.MAX_SEGLEN):
+                original = ptr(perm, seglen, 0x8000)
+                forged = setptr(original.as_integer(), privileged=True)
+                assert forged == original
+
+    @pytest.mark.parametrize("code", range(7, 16))
+    def test_setptr_of_a_reserved_code_faults(self, code):
+        raw = TaggedWord.integer((code << c.PERM_SHIFT)
+                                 | (12 << c.LENGTH_SHIFT) | 0x4000)
+        with pytest.raises(EncodingFault,
+                           match=f"reserved permission code: {code}"):
+            setptr(raw, privileged=True)
+
+    @pytest.mark.parametrize("seglen", range(c.MAX_SEGLEN + 1, 64))
+    def test_setptr_of_a_length_beyond_54_faults(self, seglen):
+        raw = TaggedWord.integer(seglen << c.LENGTH_SHIFT)
+        with pytest.raises(EncodingFault,
+                           match=f"segment length field out of range: "
+                                 f"{seglen}"):
+            setptr(raw, privileged=True)
 
     def test_ispointer_true_false(self):
         assert ispointer(ptr().word).value == 1

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.constants import LENGTH_SHIFT, PERM_SHIFT
 from repro.core.permissions import (
     Permission,
     Right,
@@ -12,6 +13,8 @@ from repro.core.permissions import (
     restriction_targets,
     rights_of,
 )
+from repro.core.pointer import GuardedPointer
+from repro.core.word import TaggedWord
 
 perms = st.sampled_from(list(Permission))
 
@@ -75,6 +78,27 @@ class TestDecode:
     def test_out_of_range_raises(self):
         with pytest.raises(ValueError):
             decode_permission(16)
+
+    @pytest.mark.parametrize("field", range(16))
+    def test_every_field_decodes_like_the_enum(self, field):
+        """The decode table against ``Permission(field)``: the same
+        member from all three readers of a permission field, or the same
+        ValueError from each."""
+        word = TaggedWord((field << PERM_SHIFT) | (12 << LENGTH_SHIFT)
+                          | 0x4000, tag=True)
+        readers = (lambda: decode_permission(field),
+                   lambda: GuardedPointer(word).permission,
+                   lambda: GuardedPointer.from_word(word).permission)
+        try:
+            member = Permission(field)
+        except ValueError:
+            for read in readers:
+                with pytest.raises(ValueError, match=(
+                        f"^reserved permission code: {field}$")):
+                    read()
+        else:
+            for read in readers:
+                assert read() is member
 
 
 class TestRestrictLattice:

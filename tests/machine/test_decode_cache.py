@@ -12,7 +12,7 @@ from repro.core.pointer import GuardedPointer
 from repro.machine.assembler import assemble
 from repro.machine.chip import ChipConfig, MAPChip, RunReason
 from repro.machine.cluster import NODE_BUNDLE, NODE_MEM_FN
-from repro.machine.isa import Opcode
+from repro.machine.isa import Bundle, DecodeError, Opcode
 from repro.machine.multicomputer import Multicomputer
 from repro.machine.network import MeshShape
 from repro.runtime.kernel import Kernel
@@ -268,6 +268,71 @@ class TestInvalidation:
         assert not mc.chips[1]._decode_cache
         mc.advance_idle(mc.window)
         assert not mc.chips[0]._decode_cache
+
+
+class TestContentMemo:
+    """A fetch miss decodes through a per-chip memo keyed by the three
+    word values; the decoded-bundle cache above it is still per address
+    and per pointer word."""
+
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        """Count every ``Bundle.decode`` call."""
+        calls = []
+        decode = Bundle.decode
+
+        def counting(words):
+            calls.append(tuple(w.value for w in words))
+            return decode(words)
+        monkeypatch.setattr(Bundle, "decode", staticmethod(counting))
+        return calls
+
+    def test_rewritten_word_decodes_the_new_content(self, chip, decodes):
+        entry = load(chip, "movi r1, 1\nhalt")
+        assert chip.fetch(entry)[NODE_BUNDLE].int_op.imm == 1
+        patch = assemble("movi r1, 7").encode()[0]
+        chip.access_memory(entry.address, write=True, now=0, value=patch)
+        assert chip.fetch(entry)[NODE_BUNDLE].int_op.imm == 7
+        assert len(decodes) == 2
+        # writing the old word back reuses its first decode
+        old = assemble("movi r1, 1").encode()[0]
+        chip.access_memory(entry.address, write=True, now=0, value=old)
+        assert chip.fetch(entry)[NODE_BUNDLE].int_op.imm == 1
+        assert len(decodes) == 2
+
+    def test_tagged_code_word_still_faults(self, chip, decodes):
+        entry = load(chip, "movi r1, 1\nhalt")
+        pointer = GuardedPointer.make(Permission.READ_WRITE, 12, 0x4000)
+        # the same bits untagged are an AND: decoded, and in the memo
+        chip.access_memory(entry.address, write=True, now=0,
+                           value=pointer.as_integer())
+        assert chip.fetch(entry)[NODE_BUNDLE].int_op.opcode is Opcode.AND
+        for _ in range(2):
+            chip.access_memory(entry.address, write=True, now=0,
+                               value=pointer.word)
+            with pytest.raises(DecodeError):
+                chip.fetch(entry)
+        assert len(decodes) == 3          # never answered by the memo
+
+    def test_plain_machine_never_consults_the_memo(self, decodes):
+        chip = MAPChip(ChipConfig(memory_bytes=1024 * 1024,
+                                  fast_paths=False))
+        assert chip._decoded_words is None
+        entry = load(chip, COUNTER_LOOP)
+        chip.spawn(entry)
+        assert chip.run().reason == RunReason.HALTED
+        assert len(decodes) == chip.fetch_misses > 5
+
+    def test_identical_tenants_decode_once_per_chip(self, decodes):
+        # every tenant's copy of one gateway sits at its own address;
+        # each bundle content decodes once on the chip
+        kernel = Kernel(MAPChip(ChipConfig(memory_bytes=1024 * 1024)))
+        program = assemble(COUNTER_LOOP)
+        for _ in range(6):
+            kernel.spawn(kernel.load_program(program), stack_bytes=0)
+        assert kernel.run().reason == RunReason.HALTED
+        assert kernel.chip.fetch_misses == 6 * len(program.items)
+        assert len(decodes) == len(set(decodes)) == len(program.items)
 
 
 class TestSelfModifyingProgram:

@@ -14,6 +14,7 @@ import hashlib
 import os
 import signal
 import time
+from multiprocessing import Pipe
 
 import pytest
 
@@ -315,3 +316,29 @@ class TestHostFailures:
         crash = tmp_path / "parallel-worker-1"
         assert "ValueError" in (crash / "traceback.txt").read_text()
         assert (crash / "flight-node1.json").exists()
+
+    def test_garbled_frame_fails_fast_and_closes_the_engine(self):
+        sim = build_cross(workers=2)
+        # worker 0's reply channel now carries a frame that does not
+        # unpickle; its real pipe end is closed, so it exits on EOF
+        ours, theirs = Pipe()
+        try:
+            engine = sim.engine
+            engine.start()
+            procs = list(engine._procs)
+            engine._conns[0].close()
+            engine._conns[0] = ours
+            theirs.send_bytes(b"\x80\x04garbage")
+            began = time.monotonic()
+            with pytest.raises(ParallelError,
+                               match="worker 0 sent a garbled reply"):
+                sim.run()
+            assert time.monotonic() - began < 3
+            with pytest.raises(ParallelError,
+                               match="the parallel engine is closed"):
+                sim.run()
+            assert not any(proc.is_alive() for proc in procs)
+        finally:
+            theirs.close()
+            sim.engine.close(force=True)  # never read a desynced pipe
+            sim.close()

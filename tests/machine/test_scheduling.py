@@ -1,8 +1,14 @@
 """Cluster scheduling behaviour: fairness, wakeup, slot reuse."""
 
+import random
+
 import pytest
 
+from repro.core.exceptions import TagFault
+from repro.core.permissions import Permission
+from repro.core.pointer import GuardedPointer
 from repro.machine.chip import ChipConfig, MAPChip
+from repro.machine.faults import FaultRecord
 from repro.machine.thread import ThreadState
 
 from tests.machine.conftest import data_segment, load
@@ -133,3 +139,101 @@ class TestMultiCluster:
         # 4 clusters: wall-clock ≈ one thread's bundles, not 4x
         assert result.cycles < single + 10
         assert result.issued_bundles == 4 * single
+
+
+# -- the ready-mask select against the slot scan it replaced ---------------
+
+def scan_select(cluster):
+    """The round-robin slot scan: the first READY slot from the cursor,
+    wrapping; returns (thread, cursor after), the cursor unmoved when
+    nothing is ready."""
+    n = len(cluster.slots)
+    for i in range(n):
+        index = (cluster._next_slot + i) % n
+        thread = cluster.slots[index]
+        if thread is not None and thread._state is ThreadState.READY:
+            return thread, (index + 1) % n
+    return None, cluster._next_slot
+
+
+def random_event(rng, chip, ip) -> None:
+    """One spawn, remove, block, wake, fault, resume or halt on cluster
+    0, chosen among the ones that apply."""
+    cluster = chip.clusters[0]
+    resident = [t for t in cluster.slots if t is not None]
+    by_state = {state: [t for t in resident if t._state is state]
+                for state in ThreadState}
+    choices = []
+    if (any(t is None for t in cluster.slots)
+            or by_state[ThreadState.HALTED]):
+        choices.append("spawn")
+    if resident:
+        choices.append("remove")
+    if by_state[ThreadState.READY]:
+        choices += ["block", "fault", "halt"]
+    if by_state[ThreadState.BLOCKED]:
+        choices.append("wake")
+    if by_state[ThreadState.FAULTED]:
+        choices.append("resume")
+    if not choices:
+        return
+    event = rng.choice(choices)
+    if event == "spawn":
+        chip.spawn(ip, cluster=0)
+    elif event == "remove":
+        cluster.remove_thread(rng.choice(resident))
+    elif event == "block":
+        rng.choice(by_state[ThreadState.READY]).block_until(5)
+    elif event == "wake":
+        rng.choice(by_state[ThreadState.BLOCKED]).maybe_wake(5)
+    elif event == "fault":
+        thread = rng.choice(by_state[ThreadState.READY])
+        thread.record_fault(FaultRecord(thread_id=thread.tid, cycle=0,
+                                        cause=TagFault("test"),
+                                        opcode_name="test", ip_address=0))
+    elif event == "resume":
+        rng.choice(by_state[ThreadState.FAULTED]).resume()
+    else:
+        rng.choice(by_state[ThreadState.READY]).state = ThreadState.HALTED
+
+
+class TestSelectMatchesTheSlotScan:
+    """``_select`` is a bit scan of the ready mask the slot bookkeeping
+    keeps; across random spawn/remove/block/wake/fault sequences it must
+    pick the thread, and leave the cursor, the slot scan would."""
+
+    IP = GuardedPointer.make(Permission.EXECUTE_USER, 12, 0x10000)
+
+    def check_select(self, cluster) -> None:
+        want, cursor = scan_select(cluster)
+        assert cluster._select(0) is want
+        assert cluster._next_slot == cursor
+
+    @pytest.mark.parametrize("slots", range(1, 9))
+    def test_random_sequences(self, slots):
+        rng = random.Random(slots)
+        for _ in range(40):
+            chip = MAPChip(ChipConfig(memory_bytes=64 * 1024, clusters=1,
+                                      threads_per_cluster=slots))
+            for _ in range(60):
+                random_event(rng, chip, self.IP)
+                if rng.random() < 0.5:
+                    self.check_select(chip.clusters[0])
+
+    @pytest.mark.parametrize("slots", [1, 3, 4, 8])
+    def test_across_capture_and_restore(self, slots):
+        rng = random.Random(100 + slots)
+        config = ChipConfig(memory_bytes=64 * 1024, clusters=1,
+                            threads_per_cluster=slots)
+        for _ in range(10):
+            chip = MAPChip(config)
+            for _ in range(30):
+                random_event(rng, chip, self.IP)
+                self.check_select(chip.clusters[0])
+            twin = MAPChip(config)
+            twin.restore_state(chip.capture_state())
+            assert twin.clusters[0]._ready_mask == \
+                chip.clusters[0]._ready_mask
+            for _ in range(30):
+                random_event(rng, twin, self.IP)
+                self.check_select(twin.clusters[0])

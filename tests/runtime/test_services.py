@@ -1,9 +1,16 @@
 """Tests for the standard services: SETPTR gateways and kernel traps."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import operations as ops
+from repro.core.constants import LENGTH_SHIFT, PERM_SHIFT, WORD_MASK
+from repro.core.exceptions import EncodingFault, GuardedPointerFault
 from repro.core.permissions import Permission
 from repro.core.pointer import GuardedPointer
+from repro.core.word import TaggedWord
+from repro.machine.assembler import assemble
 from repro.machine.chip import ChipConfig, MAPChip
 from repro.machine.thread import ThreadState
 from repro.runtime import services
@@ -181,3 +188,194 @@ class TestTrapServices:
         t = kernel.spawn(entry, stack_bytes=0)
         kernel.run()
         assert t.regs.read(5).value == 0
+
+
+# -- the refusal contract ---------------------------------------------------
+# Each repro below returned a forged or amplified pointer, or crashed the
+# simulator, before the gateways checked their arguments.
+
+def refused(thread) -> bool:
+    word = thread.regs.read(5)
+    return not word.tag and word.value == 0
+
+
+def as_word(value: int) -> int:
+    """A signed Python int as the 64-bit register word it names."""
+    return value & WORD_MASK
+
+
+class TestGatewayRepros:
+    def test_subseg_negative_length_is_refused(self, kernel, svc):
+        # r4 = -884 slipped past the signed `slt`, and its bits 6-9 were
+        # ORed into the permission field: READ_WRITE | 2 = EXECUTE_PRIV
+        data = kernel.allocate_segment(4096)
+        t = call_gateway(kernel, svc.subseg_gateway, data.word, as_word(-884))
+        assert refused(t)
+
+    def test_subseg_alias_cannot_run_setptr(self, kernel, svc):
+        # the demo: code stored into the caller's own writable segment,
+        # then entered through the gateway's "subsegment" of it
+        data = kernel.allocate_segment(4096, eager=True)
+        payload = assemble("movi r2, 77\nsetptr r9, r2\nhalt").encode()
+        table = kernel.chip.page_table
+        for i, word in enumerate(payload):
+            kernel.chip.memory.store_word(
+                table.walk(data.segment_base + i * 8), word)
+        entry = kernel.load_program("""
+            getip r15, ret
+            jmp r1
+        ret:
+            jmp r5
+        """)
+        t = kernel.spawn(entry, regs={1: svc.subseg_gateway.word,
+                                      3: data.word, 4: as_word(-884)},
+                         stack_bytes=0)
+        kernel.run()
+        assert refused(t)
+        assert t.state is ThreadState.FAULTED      # jmp through integer 0
+        assert not t.regs.read(9).tag
+
+    @pytest.mark.parametrize("code", [19, 35])
+    def test_restrict_code_past_the_rights_table_is_refused(self, kernel,
+                                                            svc, code):
+        # codes >= 7 read zero words past the table (empty rights pass
+        # the subset check) and `shli r13, r4, 60` kept only the low
+        # four bits: 19 and 35 both became EXECUTE_PRIV
+        data = kernel.allocate_segment(4096)
+        t = call_gateway(kernel, svc.restrict_gateway, data.word, code)
+        assert refused(t)
+
+    def test_restrict_of_an_integer_forges_nothing(self, kernel, svc):
+        data = kernel.allocate_segment(4096)
+        t = call_gateway(kernel, svc.restrict_gateway, data.word.untagged(),
+                         int(Permission.READ_ONLY))
+        assert refused(t)
+
+    def test_subseg_of_an_integer_forges_nothing(self, kernel, svc):
+        data = kernel.allocate_segment(4096)
+        t = call_gateway(kernel, svc.subseg_gateway, data.word.untagged(),
+                         11)
+        assert refused(t)
+
+    def test_subseg_minus_one_is_refused_not_a_crash(self, kernel, svc):
+        data = kernel.allocate_segment(4096)
+        t = call_gateway(kernel, svc.subseg_gateway, data.word, as_word(-1))
+        assert refused(t)
+
+    @pytest.mark.parametrize("code", [7, 8])
+    def test_restrict_reserved_code_is_refused_not_a_crash(self, kernel,
+                                                           svc, code):
+        data = kernel.allocate_segment(4096)
+        t = call_gateway(kernel, svc.restrict_gateway, data.word, code)
+        assert refused(t)
+
+    def test_subseg_of_an_enter_pointer_is_refused(self, kernel, svc):
+        # hardware SUBSEG needs the MODIFY right
+        data = kernel.allocate_segment(4096)
+        enter = GuardedPointer.make(Permission.ENTER_USER, data.seglen,
+                                    data.address)
+        t = call_gateway(kernel, svc.subseg_gateway, enter.word, 4)
+        assert refused(t)
+
+
+class TestPrivilegedSetptrFaultsPrecisely:
+    """SETPTR of an integer that encodes no pointer faults where the
+    forge is, instead of crashing the simulator (reserved permission
+    code) or leaving a pointer whose first use crashes it (a length
+    field above 54)."""
+
+    PROGRAM = """
+        setptr r5, r3
+        lea r6, r5, 8
+        halt
+    """
+
+    def run_privileged(self, kernel, bits):
+        entry = kernel.load_program(self.PROGRAM,
+                                    perm=Permission.EXECUTE_PRIV)
+        t = kernel.spawn(entry, regs={3: bits}, stack_bytes=0)
+        kernel.run()
+        return t
+
+    def test_length_field_above_54(self, kernel):
+        bits = (int(Permission.READ_WRITE) << PERM_SHIFT) | (60 << LENGTH_SHIFT)
+        t = self.run_privileged(kernel, bits)
+        assert t.state is ThreadState.FAULTED
+        assert isinstance(t.fault.cause, EncodingFault)
+        assert t.fault.opcode_name == "setptr"
+        assert not t.regs.read(5).tag
+
+    @pytest.mark.parametrize("code", [7, 15])
+    def test_reserved_permission_code(self, kernel, code):
+        t = self.run_privileged(kernel, (code << PERM_SHIFT) | (12 << LENGTH_SHIFT))
+        assert t.state is ThreadState.FAULTED
+        assert isinstance(t.fault.cause, EncodingFault)
+        assert t.fault.opcode_name == "setptr"
+
+
+# -- the gateways against the instructions they emulate ---------------------
+
+def _hardware_restrict(word: TaggedWord, r4: int) -> TaggedWord | None:
+    """What RESTRICT returns, or None where it faults (the memory unit
+    faults on an operand that is not a permission code)."""
+    code = as_word(r4)
+    if code > int(Permission.KEY):
+        return None
+    try:
+        return ops.restrict(word, Permission(code)).word
+    except GuardedPointerFault:
+        return None
+
+
+def _hardware_subseg(word: TaggedWord, r4: int) -> TaggedWord | None:
+    """What SUBSEG returns, or None where it faults (the operand is
+    read as an unsigned word)."""
+    try:
+        return ops.subseg(word, as_word(r4)).word
+    except GuardedPointerFault:
+        return None
+
+
+class _GatewayBench:
+    """One kernel with the services installed and the caller loaded,
+    reused by every example (a halted thread's slot is reused)."""
+
+    def __init__(self):
+        self.kernel = Kernel(MAPChip(ChipConfig(memory_bytes=4 * 1024 * 1024)))
+        self.svc = services.install(self.kernel)
+        self.entry = self.kernel.load_program(CALLER)
+        data = self.kernel.allocate_segment(4096)
+        address = data.address + 1000
+        self.operands = [GuardedPointer.make(perm, data.seglen, address).word
+                         for perm in Permission]
+        self.operands += [data.word.untagged(), TaggedWord.integer(1000)]
+
+    def call(self, gateway, r3: TaggedWord, r4: int) -> TaggedWord | None:
+        thread = self.kernel.spawn(self.entry, regs={1: gateway.word, 3: r3,
+                                                     4: as_word(r4)},
+                                   stack_bytes=0)
+        result = self.kernel.run()
+        assert result.reason == "halted", (result.reason, thread.fault)
+        word = thread.regs.read(5)
+        return None if word == TaggedWord.zero() else word
+
+
+_BENCH: list = []
+
+R4_VALUES = st.one_of(st.integers(-1100, 1100), st.just((1 << 43) - 1),
+                      st.integers(0, 8).map(lambda k: 16 + k),
+                      st.integers(0, 8).map(lambda k: 64 + k))
+
+
+class TestGatewaysMatchHardware:
+    @settings(max_examples=500, deadline=None)
+    @given(operand=st.integers(0, 8), r4=R4_VALUES)
+    def test_gateways_return_what_the_instructions_return(self, operand, r4):
+        if not _BENCH:
+            _BENCH.append(_GatewayBench())
+        bench = _BENCH[0]
+        r3 = bench.operands[operand]
+        assert bench.call(bench.svc.restrict_gateway, r3, r4) == \
+            _hardware_restrict(r3, r4)
+        assert bench.call(bench.svc.subseg_gateway, r3, r4) == \
+            _hardware_subseg(r3, r4)
