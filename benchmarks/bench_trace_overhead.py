@@ -21,9 +21,8 @@ Runs a multithreaded load/store workload under five configurations:
 
 All of them must agree on the simulated cycle count exactly — emission
 and sampling never touch machine state.  The acceptance check is that
-``default`` and ``requests`` are within noise of ``disabled``;
-``tools/run_benchmarks.py`` records the numbers into ``BENCH_pr10.json``
-and CI runs the quick variant.
+``default`` and ``requests`` are within noise of ``disabled``; CI runs
+this file on every push.
 """
 
 from __future__ import annotations

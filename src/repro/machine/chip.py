@@ -729,15 +729,39 @@ class MAPChip:
                     or stats.faults != faults):
                 break
         cycles = now - start
-        self.now = now
         stats.cycles += cycles
-        stats.issued_bundles += issued
-        for cl in self.clusters:
-            if cl is not cluster:
-                cl.idle_cycles += cycles
+        stats.issued_bundles += issued + self._settle_others(cluster, start,
+                                                             now)
         self.solo_runs += 1
         self.solo_bundles += issued
         return cycles
+
+    def _settle_others(self, cluster, start: int, end: int) -> int:
+        """Settle every cluster but ``cluster`` for cycles ``[start,
+        end)`` of a solo run or trace on ``cluster``, and set the clock
+        to ``end``; returns the bundles they issued.
+
+        Until the last cycle none of them could act, so they idle.  The
+        last cycle may have raised a fault whose handler readied a
+        thread anywhere, and :meth:`step` visits clusters in index
+        order: so the clusters after ``cluster`` finish that cycle by
+        :meth:`step`'s rule, with the clock on it."""
+        cycles = end - start
+        last = end - 1
+        issued = 0
+        self.now = last
+        for cl in self.clusters:
+            if cl.cluster_id < cluster.cluster_id:
+                cl.idle_cycles += cycles
+            elif cl is not cluster:
+                cl.idle_cycles += cycles - 1
+                if cl._n_ready or cl._n_blocked:
+                    if cl.step(last):
+                        issued += 1
+                else:
+                    cl.idle_cycles += 1
+        self.now = end
+        return issued
 
     def run(self, max_cycles: int = 1_000_000) -> RunResult:
         """Run until every thread is halted (or faulted with no handler

@@ -481,8 +481,8 @@ class Cluster:
             if block_until is not None and block_until > now + 1:
                 thread.pending_writes.extend(pending)
                 thread.stats.stall_cycles += block_until - (now + 1)
-                self._sb_exit(thread, bundles, operations, start, now + 1)
                 thread.block_until(block_until)
+                self._sb_exit(thread, bundles, operations, start, now + 1)
                 return now + 1 - start
             if pending:
                 regs.commit(pending)
@@ -500,12 +500,10 @@ class Cluster:
         accumulated over the same stretch, applied at once."""
         n = end - start
         chip = self.chip
-        chip.now = end
         chip.stats.cycles += n
         # every superblock cycle issued a bundle, and every one of
         # those bundles was a decoded-bundle-cache hit (a faulting
         # bundle issues too; only the thread's commit stats skip it)
-        chip.stats.issued_bundles += n
         chip.fetch_hits += n
         chip.superblock_blocks += 1
         chip.superblock_bundles += n
@@ -514,11 +512,9 @@ class Cluster:
         self._next_slot = (thread.slot + 1) % len(self.slots)
         self.last_domain = thread.domain
         self._last_tid = thread.tid
-        for cl in chip.clusters:
-            if cl is not self:
-                cl.idle_cycles += n
         thread.stats.bundles += bundles
         thread.stats.operations += operations
+        chip.stats.issued_bundles += n + chip._settle_others(self, start, end)
 
     # -- fault plumbing ------------------------------------------------------
 

@@ -48,9 +48,19 @@ from pathlib import Path
 from repro.machine.multicomputer import LocalShards
 
 
+#: seconds the coordinator waits for one reply before it declares the
+#: worker wedged; a healthy reply takes well under a second at the
+#: sizes the test suites run
+REPLY_TIMEOUT_S = 60.0
+#: seconds :meth:`ParallelMulticomputer.close` gives each worker to exit
+#: before killing it
+JOIN_GRACE_S = 5.0
+
+
 class ParallelError(Exception):
-    """The sharded engine cannot continue (a worker crashed or the
-    coordinator was used after :meth:`ParallelMulticomputer.close`)."""
+    """The sharded engine cannot continue (a worker crashed, wedged or
+    garbled a reply, or the coordinator was used after
+    :meth:`ParallelMulticomputer.close`)."""
 
 
 def partition_nodes(nodes: int, workers: int) -> list[list[int]]:
@@ -246,14 +256,18 @@ class ParallelMulticomputer:
             try:
                 if not force:
                     conn.send(["stop"])
-                    conn.recv()
+                    if conn.poll(REPLY_TIMEOUT_S):
+                        conn.recv()
             except (OSError, EOFError):
                 pass
             conn.close()
         for proc in self._procs:
-            proc.join(timeout=5)
+            proc.join(timeout=JOIN_GRACE_S)
             if proc.is_alive():
-                proc.terminate()
+                # SIGKILL: a stopped worker would not act on SIGTERM
+                # until it was continued
+                proc.kill()
+                proc.join()
         self._conns = []
         self._procs = []
 
@@ -266,8 +280,11 @@ class ParallelMulticomputer:
             self._worker_down(f"pipe to worker {w} broke: {exc}")
 
     def _recv(self, w: int):
+        conn = self._conns[w]
         try:
-            reply = self._conns[w].recv()
+            # a dead worker's pipe polls ready (EOF), so only a live
+            # worker that never answers runs out the deadline
+            reply = conn.recv() if conn.poll(REPLY_TIMEOUT_S) else None
         except (EOFError, OSError) as exc:
             self._worker_down(f"worker {w} died mid-reply: {exc}")
         except Exception as exc:
@@ -275,6 +292,9 @@ class ParallelMulticomputer:
             # step with the protocol: no later verb could read it
             self._worker_down(f"worker {w} sent a garbled reply: "
                               f"{type(exc).__name__}: {exc}")
+        if reply is None:
+            self._worker_down(f"worker {w} sent no reply within "
+                              f"{REPLY_TIMEOUT_S:g} s (wedged)")
         if reply[0] == "error":
             self._worker_crashed(w, reply)
         _, result, report, messages = reply

@@ -1,31 +1,190 @@
-"""``tools/count_bytecodes.py``: per-layer bytecode counts are exact.
+"""``tools/count_bytecodes.py``: per-layer bytecode counts are exact, and
+``--check`` gates them against an anchor.
 
-The counts are meant to gate work, so the same checkout must give the
-same numbers on every run, and the layers must account for every
-counted bytecode."""
+The counts gate work, so the same checkout must give the same numbers
+on every run and the layers must account for every counted bytecode.
+The gate must also fail on what the wall-clock ratio gate it replaced
+failed on (a shortcut switched off or bypassed), and on extra work in
+any one layer, which no end-to-end ratio can see.  Those proofs count
+in-process at scale 0.01, each against an unpatched count."""
 
+import dataclasses
+import importlib
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from repro.machine.chip import ChipConfig, MAPChip
+
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 TOOL = REPO_ROOT / "tools" / "count_bytecodes.py"
+SCALE = 0.01
 
 
-def count(out: Path) -> dict:
-    subprocess.run([sys.executable, str(TOOL), "--workload", "serve_node",
-                    "--scale", "0.01", "--json", str(out)],
-                   check=True, capture_output=True, cwd=REPO_ROOT,
-                   timeout=300)
-    return json.loads(out.read_text())
+def tool(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, str(TOOL), *args],
+                          capture_output=True, text=True, cwd=REPO_ROOT,
+                          timeout=300)
 
 
-def test_serve_node_counts_repeat_exactly_and_sum(tmp_path):
-    first = count(tmp_path / "first.json")
-    second = count(tmp_path / "second.json")
-    assert first == second
-    (record,) = first["records"]
+def changed_rows(stdout: str) -> set[str]:
+    """The row names of the first changed workload's table."""
+    table = stdout.split("does different work from")[1].split("\n\n")[0]
+    return {line.split()[0] for line in table.splitlines()[2:]}
+
+
+@pytest.fixture(scope="module")
+def anchor(tmp_path_factory) -> Path:
+    """``serve_node``'s counts at scale 0.01, written by ``--json``."""
+    path = tmp_path_factory.mktemp("anchor") / "first.json"
+    done = tool("--workload", "serve_node", "--scale", str(SCALE),
+                "--json", str(path))
+    assert done.returncode == 0, done.stderr
+    return path
+
+
+def test_serve_node_counts_repeat_exactly_and_sum(anchor):
+    (record,) = json.loads(anchor.read_text())["records"]
     assert record["bundles"] > 0
     assert sum(record["layers"].values()) == record["total"] > 0
     assert record["layers"]["cluster.exec"] > 0
+    # a second run counts exactly what the first recorded
+    done = tool("--check", str(anchor))
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_check_names_the_changed_layer_and_the_interpreter(anchor,
+                                                           tmp_path):
+    payload = json.loads(anchor.read_text())
+    # one bytecode in one layer fails the check, which names the layer
+    payload["records"][0]["layers"]["mem"] += 1
+    changed = tmp_path / "changed.json"
+    changed.write_text(json.dumps(payload))
+    done = tool("--check", str(changed))
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert changed_rows(done.stdout) == {"total", "mem"}
+    assert f"--json {changed}" in done.stdout
+
+    # counts compare only under the interpreter that recorded them
+    payload["python"] = "2.7.18"
+    changed.write_text(json.dumps(payload))
+    done = tool("--check", str(changed))
+    assert done.returncode == 2
+    assert "2.7.18" in done.stderr
+
+
+# -- in-process proofs -------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def counter():
+    """The tool, imported as a module."""
+    spec = importlib.util.spec_from_file_location("count_bytecodes", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def unpatched(counter):
+    """Each workload's count with nothing patched, counted once."""
+    counts = {}
+
+    def get(name: str) -> dict:
+        if name not in counts:
+            counts[name] = counter.count(name, SCALE)
+        return counts[name]
+
+    return get
+
+
+def fast_paths_off(monkeypatch):
+    init = MAPChip.__init__
+
+    def plain(self, config=None):
+        init(self, dataclasses.replace(config or ChipConfig(),
+                                       fast_paths=False))
+
+    monkeypatch.setattr(MAPChip, "__init__", plain)
+
+
+def decode_cache_cleared(monkeypatch):
+    fetch = MAPChip.fetch
+
+    def cold(self, ip):
+        self._decode_cache.clear()
+        return fetch(self, ip)
+
+    monkeypatch.setattr(MAPChip, "fetch", cold)
+
+
+def no_superblocks(monkeypatch):
+    monkeypatch.setattr(MAPChip, "_run_superblock", lambda self, horizon: 0)
+
+
+def no_solo_runs(monkeypatch):
+    monkeypatch.setattr(MAPChip, "_run_solo", lambda self, horizon: 0)
+
+
+@pytest.mark.parametrize("sabotage,workload", [
+    (fast_paths_off, "kernel_mt"),
+    (fast_paths_off, "serve_node"),
+    (decode_cache_cleared, "kernel_mt"),
+    (decode_cache_cleared, "serve_node"),
+    (no_superblocks, "kernel_turbo"),
+    (no_solo_runs, "kernel_mt"),
+], ids=lambda v: v if isinstance(v, str) else v.__name__)
+def test_a_lost_shortcut_changes_the_counts(counter, unpatched, monkeypatch,
+                                            sabotage, workload):
+    # what the ratio gate caught: the simulated work stays the same,
+    # the host work grows
+    base = unpatched(workload)
+    sabotage(monkeypatch)
+    sabotaged = counter.count(workload, SCALE)
+    assert sabotaged["bundles"] == base["bundles"]
+    assert sabotaged["total"] > base["total"]
+
+
+#: for each layer that does work on serve_node, one function the layer
+#: map assigns to it: (module, class or None, function)
+LAYER_FUNCTIONS = {
+    "service": ("repro.service.driver", "ServiceLoadDriver",
+                "_check_result"),
+    "sim.api": ("repro.sim.api", "Simulation", "_check_node"),
+    "chip.sched": ("repro.machine.cluster", "Cluster", "_select"),
+    "chip.fetch": ("repro.machine.chip", "MAPChip", "fetch"),
+    "cluster.exec": ("repro.machine.cluster", None, "_lea"),
+    "cluster.superblock": ("repro.machine.cluster", "Cluster",
+                           "run_superblock"),
+    "mem": ("repro.mem.page_table", "PageTable", "walk"),
+    "obs": ("repro.obs.hub", "TraceHub", "emit"),
+    "mesh": ("repro.machine.multicomputer", "LocalShards", "hist"),
+}
+
+
+@pytest.mark.parametrize("layer", list(LAYER_FUNCTIONS))
+def test_extra_work_in_one_layer_moves_that_layer_alone(
+        counter, unpatched, monkeypatch, layer):
+    base = unpatched("serve_node")
+    module_name, owner_name, name = LAYER_FUNCTIONS[layer]
+    module = importlib.import_module(module_name)
+    owner = getattr(module, owner_name) if owner_name else module
+    assert counter.layers.layer_of(module.__file__, 1, name) == layer
+    # a same-named wrapper compiled under the function's own module
+    # file: the layer map takes it for that function, so each call adds
+    # the wrapper's few bytecodes to that layer and nothing elsewhere
+    namespace = {"original": getattr(owner, name)}
+    exec(compile(f"def {name}(*args, **kwargs):\n"
+                 f"    return original(*args, **kwargs)\n",
+                 module.__file__, "exec"), namespace)
+    monkeypatch.setattr(owner, name, namespace[name])
+    patched = counter.count("serve_node", SCALE)
+    assert patched["bundles"] == base["bundles"]
+    moved = {key for key, n in patched["layers"].items()
+             if n != base["layers"][key]}
+    assert moved == {layer}
+    assert patched["layers"][layer] > base["layers"][layer]

@@ -18,6 +18,7 @@ from multiprocessing import Pipe
 
 import pytest
 
+from repro.machine import parallel
 from repro.machine.chip import RunReason
 from repro.machine.parallel import ParallelError, partition_nodes
 from repro.persist.snapshot import encode_snapshot
@@ -297,6 +298,54 @@ class TestHostFailures:
                     call()
         finally:
             sim.close()
+
+    def test_wedged_worker_fails_after_the_reply_deadline(
+            self, monkeypatch):
+        monkeypatch.setattr(parallel, "REPLY_TIMEOUT_S", 1.0)
+        monkeypatch.setattr(parallel, "JOIN_GRACE_S", 1.0)
+        sim = build_cross(workers=2)
+        procs = []
+        try:
+            sim.step(1)  # the workers are up
+            procs = list(sim.engine._procs)
+            # a stopped process neither replies nor dies, and does not
+            # act on SIGTERM until it is continued
+            os.kill(procs[1].pid, signal.SIGSTOP)
+            began = time.monotonic()
+            with pytest.raises(ParallelError,
+                               match="worker 1 sent no reply within 1 s"):
+                sim.run()
+            assert time.monotonic() - began < 1.0 + 1.0 + 1
+            assert not any(proc.is_alive() for proc in procs)
+            for call in (sim.run, lambda: sim.step(1), sim.snapshot,
+                         sim.sync_back):
+                with pytest.raises(ParallelError,
+                                   match="the parallel engine is closed"):
+                    call()
+        finally:
+            for proc in procs:
+                if proc.is_alive():
+                    os.kill(proc.pid, signal.SIGKILL)
+            sim.close()
+
+    def test_close_with_a_wedged_worker_ends_in_bounded_time(
+            self, monkeypatch):
+        monkeypatch.setattr(parallel, "REPLY_TIMEOUT_S", 1.0)
+        monkeypatch.setattr(parallel, "JOIN_GRACE_S", 1.0)
+        sim = build_cross(workers=2)
+        procs = []
+        try:
+            sim.step(1)
+            procs = list(sim.engine._procs)
+            os.kill(procs[0].pid, signal.SIGSTOP)
+            began = time.monotonic()
+            sim.close()
+            assert time.monotonic() - began < 1.0 + 1.0 + 1
+            assert not any(proc.is_alive() for proc in procs)
+        finally:
+            for proc in procs:
+                if proc.is_alive():
+                    os.kill(proc.pid, signal.SIGKILL)
 
     def test_worker_exception_fails_fast_with_crash_artifacts(
             self, tmp_path, monkeypatch):

@@ -12,6 +12,8 @@ tallies."""
 
 import pytest
 
+from repro.core.permissions import Permission
+from repro.core.pointer import GuardedPointer
 from repro.machine.assembler import assemble
 from repro.machine.chip import (ChipConfig, MAPChip, RunReason, RunResult,
                                 without_shortcut_tallies)
@@ -20,7 +22,9 @@ from repro.machine.multicomputer import Multicomputer
 from repro.machine.network import MeshShape
 from repro.machine.reference import ReferenceInterpreter
 from repro.machine.thread import ThreadState
+from repro.mem.allocator import round_up_log2
 from repro.mem.tagged_memory import AlignmentFault
+from repro.runtime import services
 from repro.runtime.swap import SwapManager
 from repro.sim.api import Simulation
 
@@ -81,8 +85,9 @@ def assert_parity(sim_run, res_run, sim_step, res_step):
 
 
 def thread_view(sim):
-    """Every thread's end state and per-thread stats, by tid."""
-    return [(t.tid, t.state, t.stats, t.regs.snapshot())
+    """Every thread's end state, halt cycle and per-thread stats, by
+    tid."""
+    return [(t.tid, t.state, t.halted_at, t.stats, t.regs.snapshot())
             for t in sim.threads]
 
 
@@ -578,6 +583,158 @@ class TestSoloRuns:
         clean.run(100_000)
         assert clean.now == sim.now
         assert thread_view(clean) == thread_view(sim)
+
+
+# -- the cycle a solo run or trace ends on ---------------------------------
+
+SPINNER = """
+    movi r2, {n}
+loop:
+    addi r3, r3, 1
+    subi r2, r2, 1
+    bne  r2, loop
+    halt
+"""
+
+
+def spawn_on_fault(sim, entry, cluster):
+    """Replace the kernel's fault handler: every fault leaves its thread
+    faulted and starts a thread at ``entry`` on ``cluster``."""
+    chip = sim.chip
+
+    def handler(record, thread):
+        chip.spawn(entry, domain=9, cluster=cluster)
+
+    chip.fault_handler = handler
+
+
+def load_at_segment_end(sim, source):
+    """Place ``source`` so that its last bundle ends where its code
+    segment ends (bundles are three words, segments a power of two
+    bytes, so this takes an entry offset); returns the entry pointer."""
+    program = assemble(source)
+    size = 1 << round_up_log2(program.size_bytes)
+    segment = sim.kernel.allocate_segment(size, Permission.EXECUTE_USER,
+                                          eager=True)
+    entry = segment.segment_base + size - program.size_bytes
+    for i, word in enumerate(program.encode()):
+        sim.chip.memory.store_word(
+            sim.chip.page_table.walk(entry + 8 * i), word)
+    return GuardedPointer.make(Permission.EXECUTE_USER, segment.seglen,
+                               entry)
+
+
+class TestExitCycle:
+    """A fault in the last cycle of a solo run or trace may ready a
+    thread on any cluster, and ``step()`` visits the clusters in index
+    order: a thread readied on a later cluster issues in that same
+    cycle, under ``run()`` as under stepping and on the plain machine.
+    The drain of a domain switch on another cluster keeps solo runs off
+    until it ends."""
+
+    def test_spawn_trap_in_a_solo_run(self):
+        # the parent traps into the kernel's spawn service while a
+        # spinner shares its cluster; the child lands on cluster 1
+        parent = f"""
+            movi r2, 30
+        loop:
+            subi r2, r2, 1
+            bne  r2, loop
+            trap {services.TRAP_SPAWN}
+            halt
+        """
+
+        def build(fast_paths):
+            sim = Simulation(memory_bytes=MEMORY, fast_paths=fast_paths)
+            services.install(sim.kernel)
+            child = sim.load(SPINNER.format(n=60))
+            spawn_all(sim, [sim.load(SPINNER.format(n=40)),
+                            sim.load(parent)], [{}, {3: child.word}])
+            return sim
+
+        sim = assert_three_way(build)
+        child = sim.threads[2]
+        assert child.scheduler.cluster_id == 1
+        assert child.state is ThreadState.HALTED
+        assert sim.chip.solo_runs > 0
+
+    @pytest.mark.parametrize("site", ["lea", "ip-advance"])
+    def test_fault_in_a_trace(self, site):
+        # a lone thread faults inside a trace, by walking r8 off its
+        # data segment or by a loop falling off its code segment; the
+        # handler starts a spinner on cluster 1
+        falls_off = """
+            movi r2, 20
+        loop:
+            addi r3, r3, 1
+            addi r4, r4, 1
+            subi r2, r2, 1
+            bne  r2, loop
+        """
+
+        def build(fast_paths):
+            sim = Simulation(memory_bytes=MEMORY, fast_paths=fast_paths)
+            spawn_on_fault(sim, sim.load(SPINNER.format(n=60)), cluster=1)
+            if site == "lea":
+                data = sim.allocate(64, eager=True)
+                sim.spawn(sim.load(TestSoloRuns.WALK), cluster=0,
+                          regs={8: data.word})
+            else:
+                sim.spawn(load_at_segment_end(sim, falls_off), cluster=0)
+            return sim
+
+        sim = assert_three_way(build)
+        walker, spinner = sim.threads
+        assert walker.fault.opcode_name == site
+        assert spinner.scheduler.cluster_id == 1
+        assert sim.chip.superblock_blocks > 0
+
+    def test_fault_exit_ends_a_solo_run(self):
+        # the faulting thread stays faulted and the handler readies one
+        # on cluster 1, so the chip's ready count does not move: only
+        # the fault exit ends the solo run
+        loader = """
+            movi r2, 10
+        loop:
+            subi r2, r2, 1
+            bne  r2, loop
+            ld   r3, r5, 0
+            halt
+        """
+
+        def build(fast_paths):
+            sim = Simulation(memory_bytes=MEMORY, fast_paths=fast_paths)
+            spawn_on_fault(sim, sim.load(SPINNER.format(n=60)), cluster=1)
+            spawn_all(sim, [sim.load(SPINNER.format(n=40)),
+                            sim.load(loader)], [{}, {}])
+            return sim
+
+        sim = assert_three_way(build)
+        assert sim.threads[1].state is ThreadState.FAULTED
+        assert sim.threads[2].scheduler.cluster_id == 1
+        assert sim.chip.solo_runs > 0
+
+    def test_drain_on_another_cluster_holds_off_solo_runs(self):
+        # cluster 1 starts a domain-switch drain for a thread that is
+        # then blocked from outside: the drain still charges switch
+        # stalls there while cluster 0's two threads run on
+        def build(fast_paths):
+            sim = Simulation(ChipConfig(memory_bytes=MEMORY,
+                                        domain_switch_penalty=6,
+                                        fast_paths=fast_paths))
+            spin = sim.load(SPINNER.format(n=40))
+            sim.spawn(spin, cluster=0, domain=1)
+            sim.spawn(spin, cluster=0, domain=1)
+            sim.spawn(sim.load("halt"), cluster=1, domain=7)
+            late = sim.spawn(spin, cluster=1, domain=8)
+            while sim.chip.clusters[1]._pending is not late:
+                sim.step()
+            late.block_until(sim.now + 20)
+            return sim
+
+        sim = assert_three_way(build)
+        assert sim.chip.clusters[1].switch_stall_cycles == 6
+        assert sim.chip.solo_runs > 0
 
 
 # -- concurrent threads against the plain machine, and a mesh -------------

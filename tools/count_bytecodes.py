@@ -10,7 +10,10 @@ line and name); frames no layer claims (dataclass ``__init__``s,
 ``enum``, ``dataclasses``, ...) are charged to ``stdlib``, and the
 benchmark's own frames to ``unattributed``.  Bytecodes done in C
 (builtins, dict probes inside one opcode) are not separate events, so
-this is a count of interpreter work, not of time.
+this is a count of interpreter work, not of time.  The cyclic garbage
+collector is paused while counting: a collection would run whatever
+Python callbacks and finalizers the process holds (a test framework's
+``gc.callbacks``, say) at allocation-dependent points.
 
 The counts are exact: the same checkout, workload, seed and scale give
 the same numbers on every run and under any ``PYTHONHASHSEED``, so a
@@ -22,17 +25,33 @@ Usage::
 
     python tools/count_bytecodes.py [--workload NAME ...] [--scale X]
         [--json FILE]
+    python tools/count_bytecodes.py --check tools/bytecodes.json
 
 Seed 0 throughout (the seed moves only request schedules and data,
-and the counts are for comparing checkouts).  The default scales (0.05 for the kernels, 0.2 for
-the services) keep each workload's layer shares within a few points of
-full scale; counting ``serve_mesh`` (warm-up included) then takes about
-10 s on a 2-vCPU Xeon, and all four workloads about 30 s.
+and the counts are for comparing checkouts).  The default scales (0.05
+for the kernels, 0.2 for the services) keep each workload's layer
+shares within a few points of full scale; counting ``serve_mesh``
+(warm-up included) then takes about 10 s on a 2-vCPU Xeon, and all
+four workloads about 30 s.
+
+**The work gate.**  ``--check FILE`` reads a ``--json`` output (the
+committed anchor is ``tools/bytecodes.json``), counts every workload it
+records at that record's scale, and compares the issued bundles and
+every layer's count, ``stdlib`` and ``unattributed`` included.  Equal:
+it prints the usual table and exits 0.  Any difference: it prints each
+changed workload's layers (anchor, now, difference, difference per
+bundle) and the command that re-records FILE, and exits 1.  A change
+that moves work re-records the anchor in the same diff, so the anchor's
+diff shows which layers moved.  FILE's ``python`` must be this
+interpreter's exact version, else it exits 2 without counting: the
+standard library's code, and so the counts, can change between micro
+releases.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import platform
 import sys
@@ -73,12 +92,17 @@ def _traced(fn) -> dict:
         frame.f_trace_opcodes = True
         return local
 
+    gc.collect()  # paused while counting: see the module docstring
+    collecting = gc.isenabled()
+    gc.disable()
     previous = sys.gettrace()
     sys.settrace(call)
     try:
         fn()
     finally:
         sys.settrace(previous)
+        if collecting:
+            gc.enable()
     return counts
 
 
@@ -112,8 +136,7 @@ def count(name: str, scale: float | None = None) -> dict:
     returns the counted rep's bundles, total bytecodes and bytecodes
     by layer."""
     if scale is None:
-        kernel = isinstance(workloads.SPECS[name], workloads.KernelSpec)
-        scale = KERNEL_SCALE if kernel else SERVICE_SCALE
+        scale = default_scale(name)
     _rep(name, scale, counted=False)
     outcome, counts = _rep(name, scale, counted=True)
     by_layer = fold(counts)
@@ -144,6 +167,82 @@ def print_table(records: list[dict]) -> None:
     print(f"{'scale':<20}" + "".join(f"{r['scale']:>14g}" for r in records))
 
 
+def default_scale(name: str) -> float:
+    kernel = isinstance(workloads.SPECS[name], workloads.KernelSpec)
+    return KERNEL_SCALE if kernel else SERVICE_SCALE
+
+
+def rerecord_command(path: str, records: list[dict]) -> str:
+    """The command line that writes ``records``' workloads, at their
+    scales, to ``path``."""
+    args = ["python", "tools/count_bytecodes.py"]
+    names = tuple(r["workload"] for r in records)
+    if names != DEFAULT_WORKLOADS:
+        for name in names:
+            args += ["--workload", name]
+    if any(r["scale"] != default_scale(r["workload"]) for r in records):
+        args += ["--scale", f"{records[0]['scale']:g}"]
+    return " ".join(args + ["--json", path])
+
+
+def differences(anchor: dict, record: dict) -> list[str]:
+    """The rows of a changed workload's table (anchor, now, difference,
+    difference per bundle), or none when the counts are equal."""
+    def row(name, was, now, per_bundle):
+        return (f"{name:<20}{was:>14,}{now:>14,}{now - was:>+12,}"
+                f"{per_bundle:>+12,.2f}")
+
+    was_bundles, now_bundles = anchor["bundles"], record["bundles"]
+    rows = []
+    if was_bundles != now_bundles:
+        rows.append(f"{'bundles':<20}{was_bundles:>14,}{now_bundles:>14,}"
+                    f"{now_bundles - was_bundles:>+12,}")
+    for layer in dict.fromkeys([*record["layers"], *anchor["layers"]]):
+        was = anchor["layers"].get(layer, 0)
+        now = record["layers"].get(layer, 0)
+        if was != now:
+            rows.append(row(layer, was, now,
+                            now / now_bundles - was / was_bundles))
+    if rows:
+        was = sum(anchor["layers"].values())
+        now = record["total"]
+        rows.insert(0, row("total", was, now,
+                           now / now_bundles - was / was_bundles))
+    return rows
+
+
+def check(path: str) -> int:
+    """The work gate: recount what ``path`` records and compare."""
+    anchor = json.loads(Path(path).read_text())
+    here = platform.python_version()
+    if anchor["python"] != here:
+        print(f"{path} was recorded under CPython {anchor['python']}, "
+              f"this is CPython {here}: bytecode counts compare only on "
+              f"the same interpreter, so nothing was counted",
+              file=sys.stderr)
+        return 2
+    records = [count(r["workload"], r["scale"]) for r in anchor["records"]]
+    print_table(records)
+    changed = 0
+    for was, record in zip(anchor["records"], records):
+        rows = differences(was, record)
+        if not rows:
+            continue
+        changed += 1
+        print(f"\n{record['workload']} (scale {record['scale']:g}) does "
+              f"different work from {path}:")
+        print(f"{'':<20}{'anchor':>14}{'now':>14}{'diff':>12}"
+              f"{'per bundle':>12}")
+        print("\n".join(rows))
+    if not changed:
+        print(f"\nevery count equals {path}")
+        return 0
+    print(f"\n{changed} workload(s) changed.  If the change is meant, "
+          f"re-record the anchor in the same diff:\n  "
+          f"{rerecord_command(path, anchor['records'])}")
+    return 1
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", action="append", default=None,
@@ -156,7 +255,14 @@ def main(argv: list[str] | None = None) -> int:
                              f"{SERVICE_SCALE} for the services)")
     parser.add_argument("--json", default=None, metavar="FILE",
                         help="also write the counts here")
+    parser.add_argument("--check", default=None, metavar="FILE",
+                        help="count what FILE (a --json output) records "
+                             "and exit 1 if any count differs from it")
     args = parser.parse_args(argv)
+    if args.check:
+        if args.workload or args.scale is not None or args.json:
+            parser.error("--check takes its workloads and scales from FILE")
+        return check(args.check)
 
     records = [count(name, scale=args.scale)
                for name in args.workload or DEFAULT_WORKLOADS]

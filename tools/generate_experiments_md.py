@@ -528,7 +528,8 @@ def e16_section() -> str:
         "capability *is* the pointer.",
         "",
         "**Verdict: mechanism validated** (no paper numbers to compare);",
-        "`BENCH_pr10.json` records median + IQR across trials.",
+        "`benchmarks/bench_service_traffic.py` asserts these invariants",
+        "on every CI run.",
     ]
     return "\n".join(lines)
 
