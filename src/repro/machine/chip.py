@@ -366,11 +366,15 @@ class MAPChip:
         the mesh for remote ones (multicomputer operation, §3).
 
         ``write``/``now``/``value`` are keyword-only — the one memory-port
-        signature shared with :meth:`BankedCache.access` and
-        :meth:`Multicomputer.remote_access`.
+        signature, and ``(word, ready_cycle, hit, bank)`` result, shared
+        with :meth:`BankedCache.access` and
+        :meth:`Multicomputer.remote_access`.  A store without ``value``
+        raises before any decoded bundle is dropped.
         """
         router = self.router
         if write:
+            if value is None:
+                raise ValueError("store requires a value")
             # keep the decoded-bundle cache coherent with stores
             # (self-modifying code).  This node drops its copy now; on
             # a mesh every other node drops its copy at the window
@@ -730,23 +734,32 @@ class MAPChip:
                 break
         cycles = now - start
         stats.cycles += cycles
-        stats.issued_bundles += issued + self._settle_others(cluster, start,
-                                                             now)
+        stats.issued_bundles += issued + self._settle_others(
+            cluster, start, now, stats.faults != faults)
         self.solo_runs += 1
         self.solo_bundles += issued
         return cycles
 
-    def _settle_others(self, cluster, start: int, end: int) -> int:
+    def _settle_others(self, cluster, start: int, end: int,
+                       faulted: bool) -> int:
         """Settle every cluster but ``cluster`` for cycles ``[start,
         end)`` of a solo run or trace on ``cluster``, and set the clock
         to ``end``; returns the bundles they issued.
 
-        Until the last cycle none of them could act, so they idle.  The
-        last cycle may have raised a fault whose handler readied a
-        thread anywhere, and :meth:`step` visits clusters in index
-        order: so the clusters after ``cluster`` finish that cycle by
-        :meth:`step`'s rule, with the clock on it."""
+        Until the last cycle none of them could act, so they idle.  So
+        does the last cycle unless it raised a fault (``faulted``): the
+        run ends before the chip's earliest wake, and eligibility kept
+        every drain off.  A fault's handler may have readied a thread
+        anywhere, and :meth:`step` visits clusters in index order: so
+        after a fault the clusters after ``cluster`` finish that cycle
+        by :meth:`step`'s rule, with the clock on it."""
         cycles = end - start
+        if not faulted:
+            for cl in self.clusters:
+                if cl is not cluster:
+                    cl.idle_cycles += cycles
+            self.now = end
+            return 0
         last = end - 1
         issued = 0
         self.now = last

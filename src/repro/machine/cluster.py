@@ -458,7 +458,8 @@ class Cluster:
                 chip.now = now
                 self._fault(thread, cause,
                             self._fault_site(bundle, cause), now)
-                self._sb_exit(thread, bundles, operations, start, now + 1)
+                self._sb_exit(thread, bundles, operations, start, now + 1,
+                              True)
                 return now + 1 - start
             if commits:
                 regs.commit(commits)
@@ -476,13 +477,15 @@ class Cluster:
                     _lea(chip, ip.word, BUNDLE_BYTES)
                 except GuardedPointerFault as cause:
                     self._fault(thread, cause, "ip-advance", now)
-                self._sb_exit(thread, bundles, operations, start, now + 1)
+                self._sb_exit(thread, bundles, operations, start, now + 1,
+                              True)
                 return now + 1 - start
             if block_until is not None and block_until > now + 1:
                 thread.pending_writes.extend(pending)
                 thread.stats.stall_cycles += block_until - (now + 1)
                 thread.block_until(block_until)
-                self._sb_exit(thread, bundles, operations, start, now + 1)
+                self._sb_exit(thread, bundles, operations, start, now + 1,
+                              False)
                 return now + 1 - start
             if pending:
                 regs.commit(pending)
@@ -490,14 +493,15 @@ class Cluster:
             if now >= end:
                 break
         if now > start:
-            self._sb_exit(thread, bundles, operations, start, now)
+            self._sb_exit(thread, bundles, operations, start, now, False)
         return now - start
 
     def _sb_exit(self, thread: Thread, bundles: int, operations: int,
-                 start: int, end: int) -> None:
+                 start: int, end: int, faulted: bool) -> None:
         """Settle the bulk accounting for a superblock spanning cycles
         ``[start, end)`` — every total a per-cycle run would have
-        accumulated over the same stretch, applied at once."""
+        accumulated over the same stretch, applied at once.
+        ``faulted``: the last cycle raised a fault."""
         n = end - start
         chip = self.chip
         chip.stats.cycles += n
@@ -514,7 +518,8 @@ class Cluster:
         self._last_tid = thread.tid
         thread.stats.bundles += bundles
         thread.stats.operations += operations
-        chip.stats.issued_bundles += n + chip._settle_others(self, start, end)
+        chip.stats.issued_bundles += n + chip._settle_others(self, start, end,
+                                                             faulted)
 
     # -- fault plumbing ------------------------------------------------------
 
@@ -727,8 +732,11 @@ def _compile_mem(chip: "MAPChip", op: Operation):
 
         def load(thread, regs, commits, now):
             vaddr = _mem_address(chip, regs.read(ra), imm, False)
+            # the port's (word, ready_cycle, hit, bank) tuple, read by
+            # index: CPython indexes a tuple subclass faster than it
+            # unpacks or reads fields of one
             result = access(vaddr, write=False, now=now)
-            ready = result.ready_cycle
+            ready = result[1]
             if ready == REMOTE_WAIT:
                 # remote load: the window barrier resolves the value
                 # and the true latency (the histogram is charged then)
@@ -737,8 +745,8 @@ def _compile_mem(chip: "MAPChip", op: Operation):
             if obs.enabled:
                 load_to_use(ready - now)
             if to_float:
-                return ready, (("f", rd, word_to_float(result.word)),)
-            return ready, (("r", rd, result.word),)
+                return ready, (("f", rd, word_to_float(result[0])),)
+            return ready, (("r", rd, result[0]),)
         return load
     if code is Opcode.ST or code is Opcode.STF:
         access = chip.access_memory if meshed else chip.cache.access

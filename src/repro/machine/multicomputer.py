@@ -122,6 +122,11 @@ class Partition:
 #: the barrier's batch order: (cycle, src_node, seq)
 _MESSAGE_ORDER = itemgetter(1, 2, 3)
 
+_ZERO_WORD = TaggedWord.zero()
+#: every remote load's port result: the barrier supplies the word and
+#: rewrites the wake-up with the true reply cycle
+_REMOTE_LOAD = AccessResult(_ZERO_WORD, REMOTE_WAIT, False, -1)
+
 
 def window_cycles(hop_cycles: int, interface_cycles: int) -> int:
     """The conservative lookahead: the minimum one-way latency of any
@@ -300,28 +305,27 @@ class Multicomputer:
     def remote_access(self, chip: MAPChip, vaddr: int, *, write: bool,
                       now: int, value: TaggedWord | None = None) -> AccessResult:
         """Queue an access whose home is another node (keyword-only
-        port signature, shared with ``MAPChip.access_memory`` and
-        ``BankedCache.access``).
+        port signature and tuple result, shared with
+        ``MAPChip.access_memory`` and ``BankedCache.access``).
 
         Stores are posted (the thread proceeds; the word lands at the
         barrier).  Loads return the :data:`REMOTE_WAIT` sentinel as
         their ready cycle — the cluster blocks the thread on it and the
-        barrier rewrites the wake-up with the true reply cycle."""
+        barrier rewrites the wake-up with the true reply cycle.  A store
+        without ``value`` raises before it takes a sequence number."""
+        if write and value is None:
+            raise ValueError("store requires a value")
         src = chip.node_id
         seq = self._next_seq(src)
         if write:
-            if value is None:
-                raise ValueError("store requires a value")
             chip.counters.incr("router.remote_writes")
             self._enqueue(src, ["st", now, src, seq, vaddr,
                                 value.value, value.tag])
-            return AccessResult(word=TaggedWord.zero(), ready_cycle=now,
-                                hit=False, bank=-1)
+            return tuple.__new__(AccessResult, (_ZERO_WORD, now, False, -1))
         chip.counters.incr("router.remote_reads")
         self._enqueue(src, ["ld", now, src, seq, vaddr])
         self._last_load = (src, seq)
-        return AccessResult(word=TaggedWord.zero(), ready_cycle=REMOTE_WAIT,
-                            hit=False, bank=-1)
+        return _REMOTE_LOAD
 
     def bind_remote_load(self, chip: MAPChip, tid: int, bank: str,
                          rd: int) -> None:

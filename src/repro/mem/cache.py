@@ -21,7 +21,8 @@ table lookup prior to or during cache access."
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.word import TaggedWord
 from repro.mem.tagged_memory import TaggedMemory
@@ -69,14 +70,24 @@ class CacheStats:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class AccessResult:
-    """Outcome of one cache access."""
+class AccessResult(NamedTuple):
+    """Outcome of one cache access: ``(word, ready_cycle, hit, bank)``.
+
+    A tuple, because every simulated load and store builds one: the
+    ports construct it with ``tuple.__new__``, which runs no Python
+    frame, while a frozen dataclass ran a generated ``__init__`` of four
+    ``object.__setattr__`` calls (0.94 µs against 0.21 µs on a 2-vCPU
+    Xeon, PERF.md §4)."""
 
     word: TaggedWord        #: data (untagged zero for stores)
     ready_cycle: int        #: cycle at which the result is available
     hit: bool
     bank: int
+
+
+#: builds an :class:`AccessResult` from a 4-tuple without the generated
+#: ``__new__`` frame: ``_new_result(AccessResult, (word, ready, hit, bank))``
+_new_result = tuple.__new__
 
 
 class _Bank:
@@ -91,6 +102,7 @@ class _Bank:
         self.busy_until = 0
 
     def lookup(self, line: int, index: int) -> bool:
+        """True on a hit, which becomes the set's MRU entry (its last)."""
         entry = self._lines[index]
         for i, (tag, dirty) in enumerate(entry):
             if tag == line:
@@ -106,13 +118,6 @@ class _Bank:
             victim = entry.pop(0)
         entry.append((line, dirty))
         return victim
-
-    def mark_dirty(self, line: int, index: int) -> None:
-        entry = self._lines[index]
-        for i, (tag, _) in enumerate(entry):
-            if tag == line:
-                entry[i] = (tag, True)
-                return
 
     def invalidate_all(self) -> int:
         count = sum(len(s) for s in self._lines)
@@ -234,59 +239,76 @@ class BankedCache:
 
     def access(self, vaddr: int, *, write: bool, now: int,
                value: TaggedWord | None = None) -> AccessResult:
-        """Perform one word access at cycle ``now``.
+        """Perform one word access at cycle ``now``; returns
+        ``(word, ready_cycle, hit, bank)`` as an :class:`AccessResult`.
 
         ``write``, ``now`` and ``value`` are keyword-only: every memory
         port in the simulator (:meth:`repro.machine.chip.MAPChip.access_memory`,
         this method, and
         :meth:`repro.machine.multicomputer.Multicomputer.remote_access`)
-        shares the same keyword signature, so call sites read the same
-        everywhere and the ports stay swappable.
+        shares the same keyword signature and result, so call sites
+        read the same everywhere and the ports stay swappable.
 
-        Loads return the word; stores require ``value``.  Functional
-        data always reaches physical memory through the page table, so
+        Loads return the word; stores require ``value``, checked before
+        anything is counted or moved.  Functional data always reaches
+        physical memory through the page table, so
         :class:`~repro.core.exceptions.PageFault` propagates from here
         when the page is unmapped — translation is attempted even on
         cache hits for stores-through, keeping revocation-by-unmap
         (§4.3) airtight in the model.
+
+        The hit path is exact but short (PERF.md §5): a hit on the
+        set's most-recently-used line needs no LRU move, so only other
+        lines go through :meth:`_Bank.lookup`; the bank port is
+        arbitrated by one comparison; and the translation line memo is
+        probed inline, with every miss and fault left to
+        :meth:`translate_functional` and the memory's word access.
         """
+        if write and value is None:
+            raise ValueError("store requires a value")
         line = vaddr >> self._line_shift
         bank_index = line & self._bank_mask
         bank = self._banks[bank_index]
         # standard interleaved indexing: the bank bits do not feed the
         # set index, so consecutive same-bank lines use consecutive sets
         set_index = (line >> self._bank_shift) % bank.sets
+        stats = self.stats
 
         # Bank port arbitration: a busy bank delays the request.
-        start = max(now, bank.busy_until)
+        start = bank.busy_until
         if start > now:
-            self.stats.bank_conflicts += 1
-
-        was_hit = bank.lookup(line, set_index)
-        if was_hit:
-            self.stats.hits += 1
-            ready = start + self.hit_cycles
-            bank.busy_until = ready
-            if write:
-                bank.mark_dirty(line, set_index)
+            stats.bank_conflicts += 1
         else:
-            self.stats.misses += 1
+            start = now
+
+        entry = bank._lines[set_index]
+        if entry and entry[-1][0] == line:
+            hit = True      # already the MRU line: no LRU move
+        else:
+            hit = bank.lookup(line, set_index)
+        if hit:
+            # the line is now the set's MRU entry
+            stats.hits += 1
+            ready = bank.busy_until = start + self.hit_cycles
+            if write:
+                entry[-1] = (line, True)
+        else:
+            stats.misses += 1
             # Miss: translate (TLB), then fetch the line through the
             # single external port.
             _, walk = self.tlb.translate(vaddr)
             request_at = start + self.hit_cycles + walk
             begin = max(request_at, self._external_busy_until)
             done = begin + self.external_cycles
-            self.stats.external_accesses += 1
+            stats.external_accesses += 1
             victim = bank.fill(line, dirty=write, index=set_index)
             if victim is not None and victim[1]:
                 # dirty writeback occupies the external port too
-                self.stats.writebacks += 1
-                self.stats.external_accesses += 1
+                stats.writebacks += 1
+                stats.external_accesses += 1
                 done += self.external_cycles
             self._external_busy_until = done
-            ready = done
-            bank.busy_until = ready
+            ready = bank.busy_until = done
             obs = self.obs
             if obs is not None and obs.spans:
                 obs.emit("cache.miss_fill", start, dur=ready - start,
@@ -296,15 +318,23 @@ class BankedCache:
         # Translation is attempted even on cache hits for stores-through
         # — via the line memo when enabled — keeping revocation-by-unmap
         # (§4.3) airtight in the model.
-        physical = self.translate_functional(vaddr)
-        if write:
-            if value is None:
-                raise ValueError("store requires a value")
-            self.memory.store_word(physical, value)
-            word = _ZERO_WORD
+        memo = self._xlate
+        if memo is None:
+            physical = self.translate_functional(vaddr)
         else:
-            word = self.memory.load_word(physical)
-        return AccessResult(word=word, ready_cycle=ready, hit=was_hit, bank=bank_index)
+            offset = vaddr & self._line_mask
+            physical = memo.get(vaddr - offset)
+            if physical is None:
+                physical = self.translate_functional(vaddr)
+            else:
+                stats.xlate_memo_hits += 1
+                physical += offset
+        if write:
+            self.memory.store_word(physical, value)
+            return _new_result(AccessResult,
+                               (_ZERO_WORD, ready, hit, bank_index))
+        return _new_result(AccessResult, (self.memory.load_word(physical),
+                                          ready, hit, bank_index))
 
     def flush(self) -> int:
         """Invalidate every line (no functional effect in this model,

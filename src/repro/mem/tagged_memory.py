@@ -139,22 +139,24 @@ class TaggedMemory:
 
     # -- access --------------------------------------------------------
 
-    def _word_index(self, byte_address: int) -> int:
+    @staticmethod
+    def _bad_address(byte_address: int) -> Exception:
+        """What a word access at an unusable ``byte_address`` raises:
+        an alignment fault first, else out of range."""
         if byte_address % WORD_BYTES:
-            raise AlignmentFault(f"unaligned word access at {byte_address:#x}")
-        if not 0 <= byte_address < self.size_bytes:
-            raise IndexError(f"physical address out of range: {byte_address:#x}")
-        return byte_address // WORD_BYTES
+            return AlignmentFault(f"unaligned word access at {byte_address:#x}")
+        return IndexError(f"physical address out of range: {byte_address:#x}")
 
     def load_word(self, byte_address: int) -> TaggedWord:
         """Read the tagged word at a word-aligned byte address."""
-        index = self._word_index(byte_address)
+        if byte_address % WORD_BYTES or not 0 <= byte_address < self.size_bytes:
+            raise self._bad_address(byte_address)
         if self._devices:
             hit = self._device_at(byte_address)
             if hit is not None:
                 start, device = hit
                 return device.load(byte_address - start)
-        return self._data[index]
+        return self._data[byte_address // WORD_BYTES]
 
     def store_word(self, byte_address: int, word: TaggedWord) -> None:
         """Write a tagged word at a word-aligned byte address.
@@ -163,13 +165,15 @@ class TaggedMemory:
         pointer.  User-mode software can only produce tagged words via
         the checked pointer operations, so no check is needed here.
         """
-        index = self._word_index(byte_address)
+        if byte_address % WORD_BYTES or not 0 <= byte_address < self.size_bytes:
+            raise self._bad_address(byte_address)
         if self._devices:
             hit = self._device_at(byte_address)
             if hit is not None:
                 start, device = hit
                 device.store(byte_address - start, word)
                 return
+        index = byte_address // WORD_BYTES
         old = self._data[index]
         self._data[index] = word
         if self._dirty_pages is not None:

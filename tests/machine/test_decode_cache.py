@@ -186,6 +186,15 @@ class TestInvalidation:
         assert after is not before
         assert after[NODE_BUNDLE].int_op.opcode is Opcode.ADDI
 
+    def test_store_without_value_keeps_decoded_bundles(self, chip):
+        # the port checks the value before it drops anything
+        entry = load(chip, "movi r1, 1\nhalt")
+        node = chip.fetch(entry)
+        with pytest.raises(ValueError, match="store requires a value"):
+            chip.access_memory(entry.address, write=True, now=0)
+        assert chip.fetch(entry) is node
+        assert chip.decode_invalidations == 0
+
     def test_store_probes_unaligned_bundle_starts(self, chip):
         # bundles start every 24 bytes but segments align to powers of
         # two, so a store must invalidate bundles starting up to two

@@ -73,6 +73,24 @@ class TestRemoteAccess:
         physical = mc.chips[0].page_table.walk(shared.segment_base)
         assert mc.chips[0].memory.load_word(physical).value == 123
 
+    @pytest.mark.parametrize("port", ["access_memory", "remote_access"])
+    def test_store_without_value_takes_no_sequence_number(self, port):
+        # snapshots carry the per-node sequence numbers: a refused store
+        # must not use one up, nor queue a message
+        mc = small_machine()
+        remote = mc.allocate_on(0, 4096, eager=True)
+        chip = mc.chips[1]
+        seq = list(mc._seq)
+        outbox = [list(box) for box in mc._outbox]
+        with pytest.raises(ValueError, match="store requires a value"):
+            if port == "access_memory":
+                chip.access_memory(remote.segment_base, write=True, now=0)
+            else:
+                mc.remote_access(chip, remote.segment_base, write=True,
+                                 now=0)
+        assert mc._seq == seq
+        assert [list(box) for box in mc._outbox] == outbox
+
     def test_remote_loads_cost_network_latency(self):
         mc = small_machine()
         local = mc.allocate_on(1, 4096, eager=True)

@@ -47,6 +47,26 @@ class TestFunctional:
         with pytest.raises(ValueError):
             cache.access(0, write=True, now=0)
 
+    @pytest.mark.parametrize("vaddr", [0x100, 0x1100], ids=["hit", "miss"])
+    def test_store_without_value_changes_nothing(self, vaddr):
+        # the value is checked before the access counts, reorders the
+        # set, fills or dirties a line, or busies a port
+        mem, _, tlb, cache = make_system()
+        cache.access(0x100, write=False, now=0)
+        cache.access(0x900, write=False, now=20)   # same set: 0x100 is LRU
+
+        def state():
+            return (vars(cache.stats).copy(), vars(tlb.stats).copy(),
+                    [[list(entry) for entry in bank._lines]
+                     for bank in cache._banks],
+                    [bank.busy_until for bank in cache._banks],
+                    cache._external_busy_until, mem.dump_words())
+
+        before = state()
+        with pytest.raises(ValueError, match="store requires a value"):
+            cache.access(vaddr, write=True, now=21)
+        assert state() == before
+
     def test_unmapped_page_faults_even_on_would_be_hit(self):
         _, table, _, cache = make_system()
         cache.access(0x100, write=False, now=0)  # line now resident
