@@ -19,7 +19,7 @@ Fetch is the simulator's hottest path, so it mirrors the paper's thesis
 — resolve checks once, never re-walk tables downstream — with a
 **decoded-bundle cache**: the first fetch of a bundle walks the page
 table, decodes the three words and compiles them into the node that
-issue executes (:func:`~repro.machine.cluster.compile_bundle`); every
+issue executes (:func:`~repro.machine.cluster.share_bundle`); every
 later fetch of the same address is a dictionary hit returning that
 node, for the per-cycle path and superblock traces alike.  The cache
 is invalidated exactly where the architecture invalidates translations
@@ -30,15 +30,24 @@ and code:
   table's invalidation hook;
 * any store — local, or remote through the router — drops the cached
   bundles overlapping the written word (self-modifying and
-  cross-node-modified code stay correct);
+  cross-node-modified code stay correct); a store to a page where no
+  decoded bundle starts or ends returns at once;
 * loading a program over a reused virtual range invalidates the range
   (:meth:`MAPChip.invalidate_decoded_range`, called by the kernel
   loader).
 
-Under the cache, a miss decodes through a *content memo* keyed by the
-three words' values.  Decoding is a pure function of those values, so
-the memo needs no invalidation at all, and code loaded at many
-addresses (every tenant's copy of a gateway) decodes once per chip.
+Under the cache sits a *content memo* keyed by the three words'
+values.  It keeps each distinct bundle decoded and compiled as far as
+no fetch pointer matters: every closure but a branch's, which capture
+only op fields and objects that live as long as the chip.  So code
+loaded at many addresses (every tenant's copy of a gateway) decodes
+and compiles once per chip, and a miss at a new address makes only
+its branch closure and fall-through IP.  Decoding is a pure function
+of the values, and a snapshot restore updates the cache port and the
+trace hub the closures hold in place, so no invalidation or capture
+reaches the memo; only :meth:`MAPChip.attach_router` empties it,
+because loads and stores bind their memory port by whether the chip
+is a mesh node.
 
 ``ChipConfig(fast_paths=False)`` turns it off together with every
 other simulator shortcut (see :class:`ChipConfig`).
@@ -50,11 +59,16 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from repro.core.constants import ADDRESS_MASK as _ADDRESS_MASK
+from repro.core.constants import LENGTH_FIELD_MASK as _LENGTH_FIELD_MASK
+from repro.core.constants import LENGTH_SHIFT as _LENGTH_SHIFT
+from repro.core.constants import MAX_SEGLEN as _MAX_SEGLEN
+from repro.core.constants import PERM_SHIFT as _PERM_SHIFT
 from repro.core.constants import WORD_BYTES
 from repro.core.exceptions import FetchPending, PageFault, PermissionFault
+from repro.core.permissions import PERMISSION_BY_CODE
 from repro.core.pointer import GuardedPointer
 from repro.core.word import TaggedWord
-from repro.machine.cluster import NODE_BUNDLE, Cluster, compile_bundle
+from repro.machine.cluster import Cluster, bind_bundle, share_bundle
 from repro.machine.counters import PerfCounters
 from repro.machine.faults import FaultRecord
 from repro.machine.isa import BUNDLE_BYTES, OP_BYTES, SLOTS, Bundle
@@ -65,6 +79,15 @@ from repro.mem.physical import FrameAllocator
 from repro.mem.tagged_memory import AlignmentFault, TaggedMemory
 from repro.mem.tlb import TLB
 from repro.obs.hub import TraceHub
+
+#: Whether each 4-bit permission field may sit in the instruction
+#: pointer, indexed like :data:`PERMISSION_BY_CODE` (the fetch check)
+_EXECUTE_BY_CODE = tuple(perm is not None and perm.is_execute
+                         for perm in PERMISSION_BY_CODE)
+
+#: a bundle's last word, as an offset from its first
+_LAST_WORD = BUNDLE_BYTES - OP_BYTES
+
 
 
 @dataclass(frozen=True, slots=True)
@@ -241,9 +264,20 @@ class MAPChip:
         #: there, one node per word that passed the fetch checks;
         #: flushed on any unmap
         self._decode_cache: dict[int, dict[int, tuple]] = {}
+        #: the pages holding the first or last word of a bundle put in
+        #: the decode cache since its last full flush: a store to any
+        #: other page overlaps no decoded bundle, since a page of at
+        #: least 16 bytes holds the middle word with one of the two.
+        #: Never shrunk but by a full flush: a page too many costs a
+        #: probe, never a stale bundle
+        self._code_pages: set[int] = set()
+        self._code_page_shift = max(c.page_bytes, 16).bit_length() - 1
         #: the content memo under it (see the module docstring): three
-        #: untagged word values -> their decoded bundle; never flushed
-        self._decoded_words: dict[tuple[int, int, int], Bundle] | None = (
+        #: untagged word values -> the bundle they decode to, compiled
+        #: as far as no fetch pointer matters
+        #: (:func:`~repro.machine.cluster.share_bundle`); emptied only
+        #: by :meth:`attach_router`
+        self._decoded_words: dict[tuple[int, int, int], tuple] | None = (
             {} if c.fast_paths else None
         )
         #: superblock telemetry (plain attributes, deliberately *not*
@@ -355,21 +389,25 @@ class MAPChip:
     def attach_router(self, router) -> None:
         """Make this chip a mesh node serviced by ``router``.  Compiled
         loads and stores bind their memory port by whether a router is
-        attached, so every decoded bundle is dropped here."""
+        attached, so every decoded bundle is dropped here, and every
+        closure the content memo keeps with them."""
         self.router = router
         self._flush_decoded_local()
+        if self._decoded_words is not None:
+            self._decoded_words.clear()
 
     # -- the memory port used by the clusters ----------------------------
 
-    def access_memory(self, vaddr: int, *, write: bool, now: int, value=None):
+    def access_memory(self, vaddr: int, write: bool, now: int, value=None):
         """One data access: the local banked cache for home addresses,
         the mesh for remote ones (multicomputer operation, §3).
 
-        ``write``/``now``/``value`` are keyword-only — the one memory-port
-        signature, and ``(word, ready_cycle, hit, bank)`` result, shared
-        with :meth:`BankedCache.access` and
-        :meth:`Multicomputer.remote_access`.  A store without ``value``
-        raises before any decoded bundle is dropped.
+        ``(vaddr, write, now, value=None)`` is the one memory-port
+        signature, and ``(word, ready_cycle, hit, bank)`` the one
+        result, shared with :meth:`BankedCache.access` and
+        :meth:`Multicomputer.remote_access`.  Hot callers pass the
+        arguments positionally, others by keyword.  A store without
+        ``value`` raises before any decoded bundle is dropped.
         """
         router = self.router
         if write:
@@ -390,17 +428,16 @@ class MAPChip:
                     f"unaligned word access at {vaddr:#x}")
             if write:
                 self._remote_mirror.pop(vaddr - (vaddr % OP_BYTES), None)
-            return router.remote_access(self, vaddr, write=write,
-                                        now=now, value=value)
+            return router.remote_access(self, vaddr, write, now, value)
         if write and router is not None:
             router.note_local_store(self, vaddr, now)
-        return self.cache.access(vaddr, write=write, now=now, value=value)
+        return self.cache.access(vaddr, write, now, value)
 
     # -- instruction fetch ---------------------------------------------------
 
     def fetch(self, ip: GuardedPointer) -> tuple:
         """Fetch, decode and compile the bundle at ``ip`` (functional
-        path); returns its node (:func:`~repro.machine.cluster.compile_bundle`).
+        path); returns its node (see :func:`~repro.machine.cluster.share_bundle`).
 
         Steady state is a probe by address, then by word: compiled
         bundles are cached by fetch address, then by each pointer word
@@ -408,16 +445,24 @@ class MAPChip:
         pure functions of the pointer's bits, so a fetch through such a
         word can skip them; a new pointer to the same address (other
         bounds, other permission) runs the checks before reusing the
-        decoded words.  Translation is re-walked whenever the cache
+        address's closures.  Translation is re-walked whenever the cache
         cannot answer — so an unmapped code page faults exactly as
         before.
 
-        A miss reads the three words and decodes them through the
-        content memo, keyed by their values: the same code at another
-        address, or rewritten back to what it was, reuses one decode.
-        Tagged words bypass the memo and fail to decode as always.  The
-        memo and the address cache are both ``fast_paths`` shortcuts;
-        the plain machine reads and decodes on every fetch.
+        The checks read the pointer word, as ``ops.lea`` does: the
+        execute right by code, then Figure 2's masked compare for the
+        bundle's last word, with the exceptions (types, messages,
+        order) that ``ip.permission`` and two ``ip.contains`` calls
+        raise.
+
+        A miss reads the three words and looks their values up in the
+        content memo: the same code at another address, or rewritten
+        back to what it was, reuses one decode and every closure that
+        no fetch pointer changes, so the miss compiles only its branch
+        and fall-through.  Tagged words bypass the memo and fail to
+        decode as always.  The memo and the address cache are both
+        ``fast_paths`` shortcuts; the plain machine reads, decodes and
+        compiles on every fetch.
         """
         word = ip.word.value
         address = word & _ADDRESS_MASK
@@ -427,19 +472,24 @@ class MAPChip:
             if node is not None:
                 self.fetch_hits += 1
                 return node
-        if not ip.permission.is_execute:
+        code = word >> _PERM_SHIFT
+        if not _EXECUTE_BY_CODE[code]:
+            if PERMISSION_BY_CODE[code] is None:
+                raise ValueError(f"reserved permission code: {code}")
             raise PermissionFault("instruction pointer is not an execute pointer")
-        if not (ip.contains(address)
-                and ip.contains(address + BUNDLE_BYTES - OP_BYTES)):
+        seglen = (word >> _LENGTH_SHIFT) & _LENGTH_FIELD_MASK
+        if seglen > _MAX_SEGLEN:
+            raise ValueError(f"segment length field out of range: {seglen}")
+        if (address ^ (address + _LAST_WORD)) >> seglen:
             raise PermissionFault("bundle extends past the code segment")
         if nodes is not None:
             # a new pointer to an already-decoded address: checks
-            # passed, so reuse the decoded bundle (no re-walk) and
-            # compile it for this word, whose branch targets and
+            # passed, so reuse a sibling's closures (no re-walk) and
+            # bind the bundle to this word, whose branch targets and
             # fall-through differ
             self.fetch_hits += 1
-            bundle = next(iter(nodes.values()))[NODE_BUNDLE]
-            node = nodes[word] = compile_bundle(self, bundle, ip)
+            node = nodes[word] = bind_bundle(self, next(iter(nodes.values())),
+                                             ip)
             return node
         self.fetch_misses += 1
         router = self.router
@@ -465,27 +515,30 @@ class MAPChip:
             if missing:
                 raise FetchPending(
                     router.fetch_remote(self, missing, self.now), address)
-        words = []
+        # the words as (value, tag) pairs: the memo key needs only the
+        # values, so a TaggedWord is built only for a decode
+        pairs = []
         for slot in range(SLOTS):
             vaddr = address + slot * OP_BYTES
             if router is not None and not router.is_local(self, vaddr):
-                value, tag = self._remote_mirror[vaddr]
-                words.append(TaggedWord(value, tag))
+                pairs.append(self._remote_mirror[vaddr])
             else:
-                physical = self.page_table.walk(vaddr)
-                words.append(self.memory.load_word(physical))
-        memo = self._decoded_words
-        w0, w1, w2 = words
-        if memo is None or w0.tag or w1.tag or w2.tag:
-            bundle = Bundle.decode(words)
-        else:
-            key = (w0.value, w1.value, w2.value)
-            bundle = memo.get(key)
-            if bundle is None:
-                bundle = memo[key] = Bundle.decode(words)
-        node = compile_bundle(self, bundle, ip)
+                stored = self.memory.load_word(self.page_table.walk(vaddr))
+                pairs.append((stored.value, stored.tag))
+        (v0, t0), (v1, t1), (v2, t2) = pairs
+        memo = None if t0 or t1 or t2 else self._decoded_words
+        shared = None if memo is None else memo.get((v0, v1, v2))
+        if shared is None:
+            shared = share_bundle(self, Bundle.decode(
+                [TaggedWord(value, tag) for value, tag in pairs]))
+            if memo is not None:
+                memo[v0, v1, v2] = shared
+        node = bind_bundle(self, shared, ip)
         if self.config.fast_paths:
             self._decode_cache[address] = {word: node}
+            shift = self._code_page_shift
+            self._code_pages.update((address >> shift,
+                                     (address + _LAST_WORD) >> shift))
         return node
 
     # -- decoded-bundle invalidation ----------------------------------------
@@ -501,6 +554,7 @@ class MAPChip:
         if self._decode_cache:
             self.decode_invalidations += len(self._decode_cache)
             self._decode_cache.clear()
+        self._code_pages.clear()
 
     def flush_decoded(self) -> None:
         """Drop every decoded bundle — on every node, when meshed (this
@@ -529,14 +583,16 @@ class MAPChip:
     def invalidate_decoded_word(self, vaddr: int) -> None:
         """Drop any cached bundle overlapping the word at ``vaddr``.
 
+        A store to a page that holds no decoded bundle's first or last
+        word (``_code_pages``), such as any data page, returns at once.
         Bundle fetch addresses are word-aligned but not bundle-size
         aligned (segments align to powers of two, bundles are 24
         bytes), so the bundles that can contain this word start at the
         word itself or one or two words earlier.
         """
-        cache = self._decode_cache
-        if not cache:
+        if vaddr >> self._code_page_shift not in self._code_pages:
             return
+        cache = self._decode_cache
         word = vaddr - (vaddr % OP_BYTES)
         for start in (word, word - OP_BYTES, word - 2 * OP_BYTES):
             if cache.pop(start, None) is not None:

@@ -18,7 +18,7 @@ evaluated int → fp → mem, with the memory access — the only operation
 with a side effect beyond registers — performed last.
 
 Each opcode's semantics are written once, as the closure its compile
-function builds when a bundle is decoded (:func:`compile_bundle`); the
+function builds when a bundle is decoded (:func:`share_bundle`); the
 per-cycle path and superblock traces both run those closures.
 """
 
@@ -314,7 +314,7 @@ class Cluster:
         remote code words and nothing happened this cycle.
 
         The fetch returns the bundle's compiled node (see
-        :func:`compile_bundle`), so
+        :func:`share_bundle`), so
         issue is a call per live slot — int, fp, then mem, the memory
         access last — with no opcode dispatch left to do."""
         chip = self.chip
@@ -571,34 +571,60 @@ class Cluster:
 #: * ``ends_trace`` — HALT or TRAP: final thread state and trap dispatch
 #:   belong to the per-cycle path, so superblock traces stop in front.
 #:
-#: A node refers to nothing that refers back to it, so one dropped from
-#: the cache is freed at once.
+#: Only ``next_ip`` and a branch's closure depend on the fetch pointer.
+#: Every other closure captures op fields and objects that live as long
+#: as the chip, so one compile serves every node of the same bundle
+#: content: :func:`share_bundle` builds those once (the chip keeps them
+#: in its content memo) and :func:`bind_bundle` completes a node per
+#: pointer word.  A node refers to nothing that refers back to it, so
+#: one dropped from the cache is freed at once, its pointer-bound parts
+#: with it.
 NODE_BUNDLE = 0
+NODE_INT_FN = 1
 NODE_MEM_FN = 3
 
+#: the integer ops whose closures capture a target derived from the
+#: fetch pointer
+_BRANCHES = frozenset({Opcode.BR, Opcode.BEQ, Opcode.BNE})
 
-def compile_bundle(chip: "MAPChip", bundle: Bundle,
-                   ip: GuardedPointer) -> tuple:
-    """Compile ``bundle``, fetched through ``ip``, into its node (the
-    layout above).
+
+def share_bundle(chip: "MAPChip", bundle: Bundle) -> tuple:
+    """The part of ``bundle``'s node (the layout above) that no fetch
+    pointer changes: a node without ``next_ip`` and, for a branch,
+    without ``int_fn``.  :func:`bind_bundle` completes it for one
+    pointer word.
 
     The trace-cache idiom: everything that is a pure function of the
     encoding and the fetch pointer — which unit an op needs, ALU
     immediates, MOVI's word, branch targets, the fall-through IP —
-    resolves once, here, so issuing the bundle spends no cycles
-    re-deciding what each op *is*.  Pre-deriving pointers is invisible:
-    LEA is pure (the same derivation the executors would make, through
-    the same memo), and a derivation that faults is re-made live, so
-    the fault raises only where stepping would raise it."""
+    resolves once, here and in :func:`bind_bundle`, so issuing the
+    bundle spends no cycles re-deciding what each op *is*."""
+    op = bundle.int_op
+    code = op.opcode
+    return (bundle, None if code in _BRANCHES else _compile_int(chip, op),
+            _compile_fp(bundle.fp_op), _compile_mem(chip, bundle.mem_op),
+            None, bundle.live_ops, code is Opcode.HALT or code is Opcode.TRAP)
+
+
+def bind_bundle(chip: "MAPChip", shared: tuple, ip: GuardedPointer) -> tuple:
+    """The node of the bundle fetched through ``ip``, reusing the
+    closures of ``shared``: a :func:`share_bundle` result, or a node of
+    the same content bound to another pointer word.  Only the
+    fall-through IP and a branch's closure are made here.
+
+    Pre-deriving pointers is invisible: LEA is pure (the same
+    derivation the executors would make, through the same memo), and a
+    derivation that faults is re-made live, so the fault raises only
+    where stepping would raise it."""
+    bundle, int_fn, fp_fn, mem_fn, _, live_ops, ends_trace = shared
     try:
         next_ip = _lea(chip, ip.word, BUNDLE_BYTES)
     except GuardedPointerFault:
         next_ip = None
-    code = bundle.int_op.opcode
-    return (bundle, _compile_int(chip, bundle.int_op, ip),
-            _compile_fp(bundle.fp_op), _compile_mem(chip, bundle.mem_op),
-            next_ip, bundle.live_ops,
-            code is Opcode.HALT or code is Opcode.TRAP)
+    op = bundle.int_op
+    if op.opcode in _BRANCHES:
+        int_fn = _compile_branch(chip, op, ip)
+    return (bundle, int_fn, fp_fn, mem_fn, next_ip, live_ops, ends_trace)
 
 
 def _unit(unit, chip: "MAPChip", op: Operation):
@@ -608,9 +634,10 @@ def _unit(unit, chip: "MAPChip", op: Operation):
     return call_unit
 
 
-def _compile_int(chip: "MAPChip", op: Operation, ip: GuardedPointer):
-    """The integer-slot closure.  ALU ops, MOVI, MOV, the branches, HALT
-    and TRAP are defined here; the rest call :func:`_int_unit`."""
+def _compile_int(chip: "MAPChip", op: Operation):
+    """The integer-slot closure of any op but a branch
+    (:func:`_compile_branch`).  ALU ops, MOVI, MOV, HALT and TRAP are
+    defined here; the rest call :func:`_int_unit`."""
     code = op.opcode
     rd, ra, rb, imm = op.rd, op.ra, op.rb, op.imm
     if code is Opcode.NOP:
@@ -652,28 +679,6 @@ def _compile_int(chip: "MAPChip", op: Operation, ip: GuardedPointer):
             # MOV preserves the tag: copying a pointer yields the pointer
             commits.append(("r", rd, regs.read(ra)))
         return mov
-    if code is Opcode.BR or code is Opcode.BEQ or code is Opcode.BNE:
-        try:
-            target = _lea(chip, ip.word, imm)
-        except GuardedPointerFault:
-            # the target leaves the segment: derive it live, so the
-            # fault raises only when the branch is taken
-            target = None
-        if code is Opcode.BR:
-            def br(thread, regs, commits, now):
-                if target is None:
-                    return _lea(chip, thread.ip.word, imm)
-                return target
-            return br
-        want_zero = code is Opcode.BEQ
-
-        def branch(thread, regs, commits, now):
-            if (regs.read(rd).value == 0) is not want_zero:
-                return None
-            if target is None:
-                return _lea(chip, thread.ip.word, imm)
-            return target
-        return branch
     if code is Opcode.HALT:
         def halt(thread, regs, commits, now):
             return _Halt
@@ -683,6 +688,34 @@ def _compile_int(chip: "MAPChip", op: Operation, ip: GuardedPointer):
             raise TrapFault(imm)
         return trap
     return _unit(_int_unit, chip, op)
+
+
+def _compile_branch(chip: "MAPChip", op: Operation, ip: GuardedPointer):
+    """The closure of BR, BEQ or BNE fetched through ``ip``: the target
+    is derived from the fetch pointer, once."""
+    code = op.opcode
+    rd, imm = op.rd, op.imm
+    try:
+        target = _lea(chip, ip.word, imm)
+    except GuardedPointerFault:
+        # the target leaves the segment: derive it live, so the fault
+        # raises only when the branch is taken
+        target = None
+    if code is Opcode.BR:
+        def br(thread, regs, commits, now):
+            if target is None:
+                return _lea(chip, thread.ip.word, imm)
+            return target
+        return br
+    want_zero = code is Opcode.BEQ
+
+    def branch(thread, regs, commits, now):
+        if (regs.read(rd).value == 0) is not want_zero:
+            return None
+        if target is None:
+            return _lea(chip, thread.ip.word, imm)
+        return target
+    return branch
 
 
 def _compile_fp(op: Operation):
@@ -715,8 +748,10 @@ def _compile_mem(chip: "MAPChip", op: Operation):
     they bind the local cache port directly, which is everything
     :meth:`MAPChip.access_memory` does without a router; on a mesh
     they go through ``access_memory`` for routing, remote waits and the
-    remote-code mirror.  A node compiled off a mesh never runs on one:
-    attaching a router drops every decoded bundle.
+    remote-code mirror.  A closure compiled off a mesh never runs on
+    one: attaching a router drops every decoded bundle and empties the
+    content memo.  The port is called positionally: CPython 3.11 does
+    not specialize a keyword call into a Python function.
     """
     code = op.opcode
     if code is Opcode.NOP or code is Opcode.FNOP:
@@ -735,7 +770,7 @@ def _compile_mem(chip: "MAPChip", op: Operation):
             # the port's (word, ready_cycle, hit, bank) tuple, read by
             # index: CPython indexes a tuple subclass faster than it
             # unpacks or reads fields of one
-            result = access(vaddr, write=False, now=now)
+            result = access(vaddr, False, now)
             ready = result[1]
             if ready == REMOTE_WAIT:
                 # remote load: the window barrier resolves the value
@@ -761,7 +796,7 @@ def _compile_mem(chip: "MAPChip", op: Operation):
                 value = regs.read(rd)
             if invalidate is not None:
                 invalidate(vaddr)
-            access(vaddr, write=True, now=now, value=value)
+            access(vaddr, True, now, value)
             return _NO_BLOCK  # stores are buffered; the thread proceeds
         return store
     return _unit(_mem_unit, chip, op)

@@ -302,11 +302,12 @@ class Multicomputer:
     def is_local(self, chip: MAPChip, vaddr: int) -> bool:
         return self.home_of(vaddr) == chip.node_id
 
-    def remote_access(self, chip: MAPChip, vaddr: int, *, write: bool,
+    def remote_access(self, chip: MAPChip, vaddr: int, write: bool,
                       now: int, value: TaggedWord | None = None) -> AccessResult:
-        """Queue an access whose home is another node (keyword-only
-        port signature and tuple result, shared with
-        ``MAPChip.access_memory`` and ``BankedCache.access``).
+        """Queue an access whose home is another node (the port
+        signature ``(vaddr, write, now, value=None)`` and tuple result
+        shared with ``MAPChip.access_memory`` and
+        ``BankedCache.access``, after the requesting ``chip``).
 
         Stores are posted (the thread proceeds; the word lands at the
         barrier).  Loads return the :data:`REMOTE_WAIT` sentinel as

@@ -237,17 +237,19 @@ class BankedCache:
 
     # -- the access path ------------------------------------------------
 
-    def access(self, vaddr: int, *, write: bool, now: int,
+    def access(self, vaddr: int, write: bool, now: int,
                value: TaggedWord | None = None) -> AccessResult:
         """Perform one word access at cycle ``now``; returns
         ``(word, ready_cycle, hit, bank)`` as an :class:`AccessResult`.
 
-        ``write``, ``now`` and ``value`` are keyword-only: every memory
-        port in the simulator (:meth:`repro.machine.chip.MAPChip.access_memory`,
-        this method, and
-        :meth:`repro.machine.multicomputer.Multicomputer.remote_access`)
-        shares the same keyword signature and result, so call sites
-        read the same everywhere and the ports stay swappable.
+        Every memory port in the simulator
+        (:meth:`repro.machine.chip.MAPChip.access_memory`, this method,
+        and :meth:`repro.machine.multicomputer.Multicomputer.remote_access`)
+        shares the signature ``(vaddr, write, now, value=None)`` and the
+        result, so the ports stay swappable.  The compiled loads and
+        stores pass the arguments positionally (CPython 3.11 does not
+        specialize a keyword call into a Python function); other
+        callers may name them.
 
         Loads return the word; stores require ``value``, checked before
         anything is counted or moved.  Functional data always reaches

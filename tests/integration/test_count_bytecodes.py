@@ -49,6 +49,7 @@ def anchor(tmp_path_factory) -> Path:
 
 def test_serve_node_counts_repeat_exactly_and_sum(anchor):
     (record,) = json.loads(anchor.read_text())["records"]
+    assert "functions" not in record    # printed, never written
     assert record["bundles"] > 0
     assert sum(record["layers"].values()) == record["total"] > 0
     assert record["layers"]["cluster.exec"] > 0
@@ -67,6 +68,7 @@ def test_check_names_the_changed_layer_and_the_interpreter(anchor,
     done = tool("--check", str(changed))
     assert done.returncode == 1, done.stdout + done.stderr
     assert changed_rows(done.stdout) == {"total", "mem"}
+    assert "serve_node: the 10 costliest functions" in done.stdout
     assert f"--json {changed}" in done.stdout
 
     # counts compare only under the interpreter that recorded them
@@ -100,6 +102,28 @@ def unpatched(counter):
         return counts[name]
 
     return get
+
+
+def test_costliest_functions_are_sorted_layered_and_bounded(counter,
+                                                           unpatched):
+    record = unpatched("serve_node")
+    rows = record["functions"]
+    assert len(rows) == counter.TOP_FUNCTIONS
+    costs = [row.bytecodes for row in rows]
+    assert costs == sorted(costs, reverse=True) and costs[-1] > 0
+    assert sum(costs) <= record["total"]
+    assert len({(row.layer, row.function) for row in rows}) == len(rows)
+    for row in rows:
+        code = row.code
+        layer = counter.layers.layer_of(code.co_filename,
+                                        code.co_firstlineno, code.co_name)
+        assert row.layer == (layer or counter.STDLIB)
+        assert row.function == counter.function_name(code)
+        assert row.function.endswith(f":{code.co_qualname}")
+    # the table's layers hold every row's bytecodes
+    for layer in {row.layer for row in rows}:
+        assert sum(row.bytecodes for row in rows
+                   if row.layer == layer) <= record["layers"][layer]
 
 
 def fast_paths_off(monkeypatch):

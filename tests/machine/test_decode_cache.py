@@ -5,19 +5,28 @@ import gc
 import weakref
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from repro.core.exceptions import PermissionFault
+from repro.core.constants import (
+    ADDRESS_BITS,
+    ADDRESS_MASK,
+    LENGTH_SHIFT,
+    PERM_SHIFT,
+)
+from repro.core.exceptions import PageFault, PermissionFault
 from repro.core.permissions import Permission
 from repro.core.pointer import GuardedPointer
+from repro.core.word import TaggedWord
 from repro.machine.assembler import assemble
 from repro.machine.chip import ChipConfig, MAPChip, RunReason
-from repro.machine.cluster import NODE_BUNDLE, NODE_MEM_FN
-from repro.machine.isa import Bundle, DecodeError, Opcode
+from repro.machine.cluster import NODE_BUNDLE, NODE_INT_FN
+from repro.machine.isa import BUNDLE_BYTES, OP_BYTES, Bundle, DecodeError, Opcode
 from repro.machine.multicomputer import Multicomputer
 from repro.machine.network import MeshShape
 from repro.runtime.kernel import Kernel
 
-from tests.machine.conftest import load
+from tests.machine.conftest import data_segment, load
 
 COUNTER_LOOP = """
     movi r2, 10
@@ -209,6 +218,42 @@ class TestInvalidation:
                            value=patch)
         assert not chip._decode_cache
 
+    def test_data_store_leaves_the_cache_alone(self, chip):
+        # a store to a page that holds no decoded bundle returns before
+        # probing the cache
+        entry = load(chip, COUNTER_LOOP)
+        node = chip.fetch(entry)
+        data = data_segment(chip, 0x40000, 64)
+        before = chip.counters.snapshot()["fetch.invalidations"]
+        chip.access_memory(data.address, write=True, now=0,
+                           value=TaggedWord.integer(5))
+        assert chip.counters.snapshot()["fetch.invalidations"] == before
+        assert chip._decode_cache == {entry.address: {entry.word.value: node}}
+        assert data.address >> chip._code_page_shift not in chip._code_pages
+
+    @pytest.mark.parametrize("before_boundary", [OP_BYTES, 2 * OP_BYTES])
+    def test_store_to_a_last_word_over_a_page_boundary(self, chip,
+                                                       before_boundary):
+        # a bundle starting one or two words before a page boundary has
+        # its last word on the next page, where the store lands
+        page = chip.config.page_bytes
+        base = 0x10000
+        start = base + page - before_boundary
+        chip.page_table.ensure_mapped(base, 2 * page)
+        words = assemble("movi r1, 1").encode()
+        for i, word in enumerate(words):
+            chip.memory.store_word(chip.page_table.walk(start + i * OP_BYTES),
+                                   word)
+        ip = GuardedPointer.make(Permission.EXECUTE_USER,
+                                 (2 * page).bit_length() - 1, start)
+        assert chip.fetch(ip)[NODE_BUNDLE].int_op.imm == 1
+        last = start + BUNDLE_BYTES - OP_BYTES
+        assert last >= base + page
+        chip.access_memory(last, write=True, now=0,
+                           value=assemble("fnop").encode()[0])
+        assert start not in chip._decode_cache
+        assert chip.decode_invalidations == 1
+
     def test_loader_invalidates_reused_range(self):
         kernel = Kernel(MAPChip(ChipConfig(memory_bytes=1024 * 1024)))
         chip = kernel.chip
@@ -224,16 +269,19 @@ class TestInvalidation:
 
     def test_dropped_node_is_freed_without_the_collector(self, chip):
         # a node holds nothing that refers back to it, so invalidation
-        # frees it by reference counting alone
-        entry = load(chip, "ld r1, r2, 0\nhalt")
+        # frees what belongs to its address — here each pointer word's
+        # branch closure — by reference counting alone (the closures
+        # shared by content stay in the content memo by design)
+        entry = load(chip, "top:\nbeq r2, top\nhalt")
+        wide = GuardedPointer.make(entry.permission, entry.seglen + 1,
+                                   entry.address)
         gc.disable()
         try:
-            load_fn = weakref.ref(chip.fetch(entry)[NODE_MEM_FN])
-            chip.fetch(GuardedPointer.make(entry.permission,
-                                           entry.seglen + 1, entry.address))
-            assert load_fn() is not None
+            branches = [weakref.ref(chip.fetch(ip)[NODE_INT_FN])
+                        for ip in (entry, wide)]
+            assert all(ref() is not None for ref in branches)
             chip.invalidate_decoded_word(entry.address)
-            assert load_fn() is None
+            assert all(ref() is None for ref in branches)
         finally:
             gc.enable()
 
@@ -342,6 +390,110 @@ class TestContentMemo:
         assert kernel.run().reason == RunReason.HALTED
         assert kernel.chip.fetch_misses == 6 * len(program.items)
         assert len(decodes) == len(set(decodes)) == len(program.items)
+
+    def test_tenant_copies_share_every_closure_but_branches(self):
+        # one closure object per non-branch slot serves every copy; a
+        # branch's closure and the fall-through IP belong to the address
+        kernel = Kernel(MAPChip(ChipConfig(memory_bytes=1024 * 1024)))
+        program = assemble(COUNTER_LOOP)
+        entries = [kernel.load_program(program) for _ in range(6)]
+        for entry in entries:
+            kernel.spawn(entry, stack_bytes=0)
+        assert kernel.run().reason == RunReason.HALTED
+        cache = kernel.chip._decode_cache
+        branches = 0
+        for index in range(len(program.bundles)):
+            copies = []
+            for entry in entries:
+                (node,) = cache[entry.address + index * BUNDLE_BYTES].values()
+                copies.append(node)
+            bundle, int_fn, fp_fn, mem_fn = copies[0][:4]
+            assert all(node[0] is bundle for node in copies)
+            assert all(node[2] is fp_fn and node[3] is mem_fn
+                       for node in copies)
+            next_ips = [node[4] for node in copies if node[4] is not None]
+            assert len({ip.address for ip in next_ips}) == len(next_ips)
+            if bundle.int_op.opcode in (Opcode.BR, Opcode.BEQ, Opcode.BNE):
+                branches += 1
+                assert len({id(node[1]) for node in copies}) == len(copies)
+            else:
+                assert all(node[1] is int_fn for node in copies)
+        assert branches == 2
+
+    def test_attaching_a_router_empties_the_memo(self, chip):
+        # the memo's loads and stores are bound to the local cache port
+        entry = load(chip, "ld r1, r2, 0\nhalt")
+        chip.fetch(entry)
+        assert chip._decoded_words
+        chip.attach_router(object())
+        assert chip._decoded_words == {}
+
+
+def _checks_on_the_pointer(ip: GuardedPointer) -> None:
+    """The fetch checks made through the pointer's properties."""
+    if not ip.permission.is_execute:
+        raise PermissionFault("instruction pointer is not an execute pointer")
+    if not (ip.contains(ip.address)
+            and ip.contains(ip.address + BUNDLE_BYTES - OP_BYTES)):
+        raise PermissionFault("bundle extends past the code segment")
+
+
+def _fields(code, seglen, address):
+    return (code << PERM_SHIFT) | (seglen << LENGTH_SHIFT) | address
+
+
+@st.composite
+def fetch_words(draw):
+    """Pointer words of any permission code and length field, with
+    addresses anywhere, where a bundle ends at or past its segment's
+    end, and at the top of the 54-bit space."""
+    seglen = draw(st.integers(0, 63))
+    span = 1 << min(seglen, ADDRESS_BITS)
+    base = draw(st.integers(0, ADDRESS_MASK)) & ~(span - 1)
+    address = draw(st.one_of(
+        st.integers(0, ADDRESS_MASK),
+        st.sampled_from([base + span - delta for delta in (8, 16, 24, 32)]),
+        st.integers(ADDRESS_MASK - 40, ADDRESS_MASK)))
+    return _fields(draw(st.integers(0, 15)), seglen,
+                   min(max(address, 0), ADDRESS_MASK))
+
+
+class TestFetchChecksOnTheWord:
+    """``MAPChip.fetch`` checks the pointer word with table lookups and
+    a masked compare; it must raise what the checks through the
+    pointer's properties raise, in their order."""
+
+    @pytest.fixture(scope="class")
+    def unmapped(self):
+        """A chip with nothing mapped: a fetch that passes the checks
+        faults in the page walk."""
+        return MAPChip(ChipConfig(memory_bytes=64 * 1024))
+
+    @given(fetch_words())
+    @example(_fields(7, 10, 0x400))                 # reserved code
+    @example(_fields(15, 63, 0x400))                # reserved before length
+    @example(_fields(Permission.READ_WRITE, 60, 0))  # no execute right
+    @example(_fields(Permission.EXECUTE_USER, 55, 0))
+    @example(_fields(Permission.EXECUTE_PRIV, 63, 0))
+    @example(_fields(Permission.EXECUTE_USER, 10, 1024 - 24))  # ends at the end
+    @example(_fields(Permission.EXECUTE_USER, 10, 1024 - 16))  # one word past
+    @example(_fields(Permission.EXECUTE_USER, 54, ADDRESS_MASK - 23))
+    @example(_fields(Permission.EXECUTE_USER, 54, ADDRESS_MASK - 15))
+    @example(_fields(Permission.EXECUTE_USER, 54, ADDRESS_MASK - 7))
+    def test_same_exception_as_the_pointer_checks(self, unmapped, value):
+        ip = GuardedPointer(TaggedWord(value, True))
+        try:
+            _checks_on_the_pointer(ip)
+            expected = None
+        except (PermissionFault, ValueError) as error:
+            expected = (type(error), str(error))
+        with pytest.raises(Exception) as raised:
+            unmapped.fetch(ip)
+        if expected is None:
+            # the checks passed: the fetch goes on to the page walk
+            assert raised.type is PageFault
+        else:
+            assert (raised.type, str(raised.value)) == expected
 
 
 class TestSelfModifyingProgram:

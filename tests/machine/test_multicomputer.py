@@ -1,14 +1,17 @@
 """Tests for the multicomputer: one address space, many nodes."""
 
+import inspect
+
 import pytest
 
 from repro.core.exceptions import PermissionFault
 from repro.core.permissions import Permission
 from repro.core.word import TaggedWord
-from repro.machine.chip import ChipConfig
+from repro.machine.chip import ChipConfig, MAPChip
 from repro.machine.multicomputer import Multicomputer, Partition, node_bits_for
 from repro.machine.network import MeshShape
 from repro.machine.thread import ThreadState
+from repro.mem.cache import BankedCache
 
 
 def small_machine(nodes=(2, 1, 1)):
@@ -90,6 +93,23 @@ class TestRemoteAccess:
                                  now=0)
         assert mc._seq == seq
         assert [list(box) for box in mc._outbox] == outbox
+
+    def test_the_three_memory_ports_share_one_signature(self):
+        # the compiled loads and stores call whichever port they bound
+        # positionally; keyword callers name the same parameters
+        ports = [BankedCache.access, MAPChip.access_memory,
+                 Multicomputer.remote_access]
+        shapes = []
+        for port in ports:
+            params = list(inspect.signature(port).parameters.values())
+            params = params[2:] if port is Multicomputer.remote_access \
+                else params[1:]
+            shapes.append([(p.name, p.kind, p.default) for p in params])
+        assert shapes[0] == shapes[1] == shapes[2]
+        assert [name for name, _, _ in shapes[0]] == ["vaddr", "write",
+                                                      "now", "value"]
+        assert all(kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+                   for _, kind, _ in shapes[0])
 
     def test_remote_loads_cost_network_latency(self):
         mc = small_machine()

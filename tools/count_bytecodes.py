@@ -27,6 +27,12 @@ Usage::
         [--json FILE]
     python tools/count_bytecodes.py --check tools/bytecodes.json
 
+Below the layer table it lists each workload's ten costliest
+functions in bytecodes per issued bundle, with their layers and
+``module:qualname`` (functions of one name and layer, such as the
+generated ``__init__`` of every dataclass, share a row).  ``--json``
+writes the layer counts only.
+
 Seed 0 throughout (the seed moves only request schedules and data,
 and the counts are for comparing checkouts).  The default scales (0.05
 for the kernels, 0.2 for the services) keep each workload's layer
@@ -40,7 +46,8 @@ records at that record's scale, and compares the issued bundles and
 every layer's count, ``stdlib`` and ``unattributed`` included.  Equal:
 it prints the usual table and exits 0.  Any difference: it prints each
 changed workload's layers (anchor, now, difference, difference per
-bundle) and the command that re-records FILE, and exits 1.  A change
+bundle) and its costliest functions, then the command that re-records
+FILE, and exits 1.  A change
 that moves work re-records the anchor in the same diff, so the anchor's
 diff shows which layers moved.  FILE's ``python`` must be this
 interpreter's exact version, else it exits 2 without counting: the
@@ -56,6 +63,7 @@ import json
 import platform
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 E2E = REPO_ROOT / "benchmarks" / "e2e"
@@ -74,6 +82,9 @@ KERNEL_SCALE = 0.05
 SERVICE_SCALE = 0.2
 #: the bucket for frames that belong to no layer
 STDLIB = "stdlib"
+#: functions listed per workload below the layer table
+TOP_FUNCTIONS = 10
+SRC = REPO_ROOT / "src"
 
 
 def _traced(fn) -> dict:
@@ -106,15 +117,57 @@ def _traced(fn) -> dict:
     return counts
 
 
+def layer_of_code(code) -> str:
+    """The layer a code object's opcode events are charged to."""
+    layer = layers.layer_of(code.co_filename, code.co_firstlineno,
+                            code.co_name)
+    return layer or STDLIB
+
+
 def fold(counts: dict) -> dict[str, int]:
     """Opcode events per code object, summed by layer."""
     by_layer = dict.fromkeys(layers.LAYERS + (layers.UNATTRIBUTED, STDLIB),
                              0)
     for code, n in counts.items():
-        layer = layers.layer_of(code.co_filename, code.co_firstlineno,
-                                code.co_name)
-        by_layer[layer or STDLIB] += n
+        by_layer[layer_of_code(code)] += n
     return by_layer
+
+
+def function_name(code) -> str:
+    """``module:qualname`` of a code object (the module is the file's
+    stem outside ``src/``, and ``<string>`` for generated code)."""
+    path = Path(code.co_filename)
+    if path.suffix != ".py":
+        module = code.co_filename
+    elif path.is_relative_to(SRC):
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+    else:
+        module = path.stem
+    return f"{module}:{code.co_qualname}"
+
+
+class FunctionRow(NamedTuple):
+    """One row of the costliest-functions list."""
+
+    bytecodes: int
+    layer: str
+    function: str
+    #: one of the code objects counted in the row (several share a row
+    #: when they share a name and a layer)
+    code: object
+
+
+def costliest(counts: dict, top: int = TOP_FUNCTIONS) -> list[FunctionRow]:
+    """The ``top`` functions that ran the most opcodes, most first
+    (ties by name)."""
+    rows: dict[tuple[str, str], FunctionRow] = {}
+    for code, n in counts.items():
+        key = (layer_of_code(code), function_name(code))
+        row = rows.get(key)
+        rows[key] = (FunctionRow(n, *key, code) if row is None
+                     else row._replace(bytecodes=row.bytecodes + n))
+    return sorted(rows.values(),
+                  key=lambda row: (-row.bytecodes, row.function))[:top]
 
 
 def _rep(name: str, scale: float, counted: bool):
@@ -133,8 +186,9 @@ def _rep(name: str, scale: float, counted: bool):
 
 def count(name: str, scale: float | None = None) -> dict:
     """One warm-up rep, then one counted rep of workload ``name``;
-    returns the counted rep's bundles, total bytecodes and bytecodes
-    by layer."""
+    returns the counted rep's bundles, total bytecodes, bytecodes by
+    layer and costliest functions (``functions``, which ``--json``
+    leaves out)."""
     if scale is None:
         scale = default_scale(name)
     _rep(name, scale, counted=False)
@@ -142,7 +196,7 @@ def count(name: str, scale: float | None = None) -> dict:
     by_layer = fold(counts)
     return {"workload": name, "seed": SEED, "scale": scale,
             "bundles": outcome.bundles, "total": sum(by_layer.values()),
-            "layers": by_layer}
+            "layers": by_layer, "functions": costliest(counts)}
 
 
 def per_bundle(record: dict) -> dict[str, float]:
@@ -165,6 +219,15 @@ def print_table(records: list[dict]) -> None:
     print(f"{'bundles':<20}"
           + "".join(f"{r['bundles']:>14,}" for r in records))
     print(f"{'scale':<20}" + "".join(f"{r['scale']:>14g}" for r in records))
+
+
+def print_functions(record: dict) -> None:
+    """A workload's costliest functions, per issued bundle."""
+    print(f"\n{record['workload']}: the {len(record['functions'])} "
+          f"costliest functions (bytecodes per issued bundle)")
+    for row in record["functions"]:
+        print(f"{row.bytecodes / record['bundles']:>10,.1f}  "
+              f"{row.layer:<20}{row.function}")
 
 
 def default_scale(name: str) -> float:
@@ -234,6 +297,7 @@ def check(path: str) -> int:
         print(f"{'':<20}{'anchor':>14}{'now':>14}{'diff':>12}"
               f"{'per bundle':>12}")
         print("\n".join(rows))
+        print_functions(record)
     if not changed:
         print(f"\nevery count equals {path}")
         return 0
@@ -267,9 +331,13 @@ def main(argv: list[str] | None = None) -> int:
     records = [count(name, scale=args.scale)
                for name in args.workload or DEFAULT_WORKLOADS]
     print_table(records)
+    for record in records:
+        print_functions(record)
     if args.json:
         payload = {"python": platform.python_version(),
-                   "records": [{**r, "per_bundle": per_bundle(r)}
+                   "records": [{**{k: v for k, v in r.items()
+                                   if k != "functions"},
+                                "per_bundle": per_bundle(r)}
                                for r in records]}
         Path(args.json).write_text(json.dumps(payload, indent=1) + "\n")
     return 0
