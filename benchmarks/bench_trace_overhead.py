@@ -23,13 +23,24 @@ All of them must agree on the simulated cycle count exactly — emission
 and sampling never touch machine state.  The acceptance check is that
 ``default`` and ``requests`` are within noise of ``disabled``; CI runs
 this file on every push.
+
+The ``service`` configuration prices the always-on hub where it is
+paid per request rather than per bundle: one node serving a few
+hundred ``repro serve`` requests, each of which spawns a thread,
+crosses a privileged gateway and back, and halts — four flight-recorder
+events and one ``enter_roundtrip`` sample.  It runs with the hub
+disabled and with the default hub, interleaved, and must agree on
+simulated cycles, completions and request latencies exactly; its
+per-request wall-clock cost is printed, not gated.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from repro.machine.chip import RunReason
+from repro.service import ServiceLoadDriver, install_tenants, open_loop
 from repro.sim.api import Simulation
 
 from benchmarks.conftest import emit
@@ -128,8 +139,61 @@ def measure(iterations: int = ITERATIONS) -> dict:
     return out
 
 
+#: the service configuration: ``repro serve`` on one node, as the
+#: ``serve_node`` end-to-end workload runs it, at a few hundred requests
+SERVICE_TENANTS = 200
+SERVICE_REQUESTS = 300
+SERVICE_MEAN_GAP = 40.0
+#: interleaved disabled/default pairs; the medians are reported
+SERVICE_REPS = 5
+
+
+def _serve(enabled: bool) -> tuple[dict, float]:
+    """One service run with the hub on or off: its simulated outcome
+    and the wall seconds of the driver's run."""
+    sim = Simulation(memory_bytes=8 * 1024 * 1024, page_bytes=512)
+    driver = ServiceLoadDriver(sim, install_tenants(sim, SERVICE_TENANTS))
+    schedule = open_loop(requests=SERVICE_REQUESTS, tenants=SERVICE_TENANTS,
+                         mean_gap=SERVICE_MEAN_GAP, seed=0)
+    sim.chip.obs.enabled = enabled
+    t0 = time.perf_counter()
+    report = driver.run(schedule)
+    wall = time.perf_counter() - t0
+    outcome = {"cycles": report.cycles, "completed": report.completed,
+               "errors": report.errors, "wrong": report.wrong_results,
+               "latency": report.latency}
+    return outcome, wall
+
+
+def measure_service(reps: int = SERVICE_REPS) -> dict:
+    """Price the always-on hub per request: disabled and default runs,
+    interleaved; their simulated outcomes must be identical."""
+    outcomes = {"disabled": [], "default": []}
+    walls = {"disabled": [], "default": []}
+    for _ in range(reps):
+        for config, enabled in (("disabled", False), ("default", True)):
+            outcome, wall = _serve(enabled)
+            outcomes[config].append(outcome)
+            walls[config].append(wall)
+    seen = outcomes["disabled"] + outcomes["default"]
+    out: dict = {"requests": SERVICE_REQUESTS,
+                 "outcomes_equal": all(o == seen[0] for o in seen),
+                 "completed": seen[0]["completed"],
+                 "cycles": seen[0]["cycles"]}
+    for config in walls:
+        wall = statistics.median(walls[config])
+        out[f"{config}_wall_s"] = wall
+        out[f"{config}_us_per_request"] = 1e6 * wall / SERVICE_REQUESTS
+    out["hub_us_per_request"] = (out["default_us_per_request"]
+                                 - out["disabled_us_per_request"])
+    out["default_overhead"] = (out["default_wall_s"]
+                               / out["disabled_wall_s"]) - 1.0
+    return out
+
+
 def test_trace_overhead(benchmark):
     r = benchmark.pedantic(measure, rounds=1, iterations=1)
+    service = measure_service()
     emit("tracing overhead — disabled .. traced", "\n".join([
         f"{'config':<10} {'cycles':>9} {'wall (s)':>9} {'cycles/s':>12}",
         "-" * 43,
@@ -142,8 +206,21 @@ def test_trace_overhead(benchmark):
         f"{r['traced_overhead']:+.1%} ({r['traced_events']} events); "
         f"cycle counts "
         f"{'identical' if r['cycles_equal'] else 'DIFFER'}",
+        "",
+        f"service: {service['requests']} requests on one node, "
+        f"{service['cycles']} cycles, median of {SERVICE_REPS} "
+        f"interleaved runs",
+        *(f"{c:<10} {service[f'{c}_wall_s']:>9.3f} s "
+          f"{service[f'{c}_us_per_request']:>8.1f} us/request"
+          for c in ("disabled", "default")),
+        f"hub cost {service['hub_us_per_request']:+.1f} us/request "
+        f"({service['default_overhead']:+.1%}); cycles, completions and "
+        f"latencies "
+        f"{'identical' if service['outcomes_equal'] else 'DIFFER'}",
     ]))
     assert r["cycles_equal"], "tracing changed the timing model"
+    assert service["outcomes_equal"], "the hub changed a service run"
+    assert service["completed"] == SERVICE_REQUESTS, service
     # the always-on layer and the span-only request path must stay
     # within noise of fully-disabled; 25% headroom keeps slow shared
     # CI machines from flaking

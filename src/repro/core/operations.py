@@ -37,6 +37,7 @@ from repro.core.exceptions import (
     TagFault,
 )
 from repro.core.permissions import (
+    EXECUTE_BY_CODE,
     PERMISSION_BY_CODE,
     Permission,
     Right,
@@ -51,6 +52,14 @@ from repro.core.word import TaggedWord
 _MODIFY_BY_CODE = tuple(
     perm is not None and bool(rights_of(perm) & Right.MODIFY)
     for perm in PERMISSION_BY_CODE)
+
+#: JMP's gateway conversion (§2.3): the execute code each enter code
+#: becomes
+_EXECUTE_OF_ENTER = {int(Permission.ENTER_USER): int(Permission.EXECUTE_USER),
+                     int(Permission.ENTER_PRIV): int(Permission.EXECUTE_PRIV)}
+
+#: the length and address fields of a pointer word
+_BELOW_PERM = (1 << c.PERM_SHIFT) - 1
 
 
 def _require_pointer(word: TaggedWord, what: str) -> GuardedPointer:
@@ -235,15 +244,31 @@ def check_jump(word: TaggedWord, privileged: bool) -> GuardedPointer:
       to jump to an enter-privileged pointer — that is the point of the
       gateway — so ``privileged`` is unused for enter targets.
     * Anything else (data pointers, keys, integers) faults.
+
+    Every check reads the word's bits, as :func:`lea` does, with the
+    exceptions (types, messages, order) of the field-by-field checks:
+    the tag, a reserved permission code, an enter pointer's length
+    field (which :meth:`GuardedPointer.make` refuses above 54), and
+    last the permission.  Conversion rewrites only the permission
+    field.
     """
-    ptr = _require_pointer(word, "jump")
-    perm = ptr.permission
-    if perm.is_execute:
-        return ptr
-    if perm is Permission.ENTER_USER:
-        return ptr.with_fields(perm=Permission.EXECUTE_USER)
-    if perm is Permission.ENTER_PRIV:
-        return ptr.with_fields(perm=Permission.EXECUTE_PRIV)
+    if not word.tag:
+        raise TagFault("jump requires a guarded pointer, got an integer")
+    value = word.value
+    code = value >> c.PERM_SHIFT
+    if EXECUTE_BY_CODE[code]:
+        return GuardedPointer(word)
+    execute = _EXECUTE_OF_ENTER.get(code)
+    if execute is not None:
+        seglen = (value >> c.LENGTH_SHIFT) & c.LENGTH_FIELD_MASK
+        if seglen > c.MAX_SEGLEN:
+            raise EncodingFault(
+                f"segment larger than address space: 2**{seglen}")
+        return GuardedPointer(TaggedWord(
+            execute << c.PERM_SHIFT | value & _BELOW_PERM, True))
+    perm = PERMISSION_BY_CODE[code]
+    if perm is None:
+        raise ValueError(f"reserved permission code: {code}")
     raise PermissionFault(f"jump through {perm.name} pointer")
 
 

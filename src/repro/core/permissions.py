@@ -90,6 +90,11 @@ PERMISSION_BY_CODE: tuple[Permission | None, ...] = tuple(
     Permission(code) if code <= Permission.KEY else None
     for code in range(PERM_FIELD_MASK + 1))
 
+#: Whether each 4-bit permission field may sit in the instruction
+#: pointer (the execute codes), indexed like :data:`PERMISSION_BY_CODE`.
+EXECUTE_BY_CODE: tuple[bool, ...] = tuple(
+    perm is not None and perm.is_execute for perm in PERMISSION_BY_CODE)
+
 
 def decode_permission(field: int) -> Permission:
     """Decode a 4-bit permission field; reserved codes raise ValueError."""

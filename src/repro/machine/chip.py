@@ -56,7 +56,7 @@ other simulator shortcut (see :class:`ChipConfig`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from repro.core.constants import ADDRESS_MASK as _ADDRESS_MASK
 from repro.core.constants import LENGTH_FIELD_MASK as _LENGTH_FIELD_MASK
@@ -64,8 +64,9 @@ from repro.core.constants import LENGTH_SHIFT as _LENGTH_SHIFT
 from repro.core.constants import MAX_SEGLEN as _MAX_SEGLEN
 from repro.core.constants import PERM_SHIFT as _PERM_SHIFT
 from repro.core.constants import WORD_BYTES
+from repro.core.constants import WORD_MASK as _WORD_MASK
 from repro.core.exceptions import FetchPending, PageFault, PermissionFault
-from repro.core.permissions import PERMISSION_BY_CODE
+from repro.core.permissions import EXECUTE_BY_CODE, PERMISSION_BY_CODE
 from repro.core.pointer import GuardedPointer
 from repro.core.word import TaggedWord
 from repro.machine.cluster import Cluster, bind_bundle, share_bundle
@@ -79,11 +80,6 @@ from repro.mem.physical import FrameAllocator
 from repro.mem.tagged_memory import AlignmentFault, TaggedMemory
 from repro.mem.tlb import TLB
 from repro.obs.hub import TraceHub
-
-#: Whether each 4-bit permission field may sit in the instruction
-#: pointer, indexed like :data:`PERMISSION_BY_CODE` (the fetch check)
-_EXECUTE_BY_CODE = tuple(perm is not None and perm.is_execute
-                         for perm in PERMISSION_BY_CODE)
 
 #: a bundle's last word, as an offset from its first
 _LAST_WORD = BUNDLE_BYTES - OP_BYTES
@@ -166,9 +162,14 @@ class RunReason:
     ALL = frozenset({HALTED, FAULTED, DEADLOCK, MAX_CYCLES})
 
 
-@dataclass
-class RunResult:
-    """Outcome of :meth:`MAPChip.run`."""
+class RunResult(NamedTuple):
+    """Outcome of :meth:`MAPChip.run`: ``(cycles, issued_bundles,
+    reason)``.
+
+    A tuple, because a mesh window calls ``run`` on every node with
+    work and reads only the bundle count: the run loop builds it with
+    ``tuple.__new__`` (:data:`_new_result`), which runs no Python frame,
+    as the memory port builds :class:`~repro.mem.cache.AccessResult`."""
 
     cycles: int
     issued_bundles: int
@@ -179,6 +180,11 @@ class RunResult:
     @property
     def utilization(self) -> float:
         return self.issued_bundles / self.cycles if self.cycles else 0.0
+
+
+#: builds a :class:`RunResult` from a 3-tuple without the generated
+#: ``__new__`` frame: ``_new_result(RunResult, (cycles, bundles, reason))``
+_new_result = tuple.__new__
 
 
 @dataclass
@@ -366,18 +372,29 @@ class MAPChip:
 
         ``regs`` pre-loads integer registers: values may be
         :class:`~repro.core.word.TaggedWord` (including pointer words)
-        or plain ints.
+        or plain ints, masked to 64 bits as ``TaggedWord.integer``
+        does.  Without ``cluster``, the thread goes to the cluster with
+        the fewest active threads, the lowest-numbered on a tie.
+
+        Every service request is one spawn, so the registers are
+        written straight into the new file and the placement is one
+        loop, without a call per register or a key function.
         """
-        thread = Thread(tid=self._next_tid, ip=ip, domain=domain)
+        thread = Thread(self._next_tid, ip, domain)
         self._next_tid += 1
         if regs:
+            words = thread.regs._regs
             for index, value in regs.items():
-                word = value if isinstance(value, TaggedWord) else TaggedWord.integer(value)
-                thread.regs.write(index, word)
+                words[index] = (value if isinstance(value, TaggedWord)
+                                else TaggedWord(value & _WORD_MASK, False))
+        clusters = self.clusters
         if cluster is None:
-            cluster = min(range(len(self.clusters)),
-                          key=lambda i: self.clusters[i].active_count)
-        self.clusters[cluster].add_thread(thread)
+            fewest = None
+            for index, candidate in enumerate(clusters):
+                active = candidate.active_count
+                if fewest is None or active < fewest:
+                    fewest, cluster = active, index
+        clusters[cluster].add_thread(thread)
         if self.obs.enabled:
             self.obs.emit("thread.spawn", self.now, cluster=cluster,
                           tid=thread.tid, domain=domain)
@@ -473,7 +490,7 @@ class MAPChip:
                 self.fetch_hits += 1
                 return node
         code = word >> _PERM_SHIFT
-        if not _EXECUTE_BY_CODE[code]:
+        if not EXECUTE_BY_CODE[code]:
             if PERMISSION_BY_CODE[code] is None:
                 raise ValueError(f"reserved permission code: {code}")
             raise PermissionFault("instruction pointer is not an execute pointer")
@@ -493,16 +510,22 @@ class MAPChip:
             return node
         self.fetch_misses += 1
         router = self.router
+        remote = 0  # bit ``slot`` set: that word is homed on another node
         if router is not None:
             # words homed elsewhere come out of the remote-code mirror;
             # anything missing is requested at the next window barrier
-            # and the fetch retries (FetchPending blocks the thread)
+            # and the fetch retries (FetchPending blocks the thread).
+            # Each word's home is asked once, here, before any local
+            # page walk could fault
             mirror = self._remote_mirror
+            home_of = router.home_of
+            node = self.node_id
             missing = []
             for slot in range(SLOTS):
                 vaddr = address + slot * OP_BYTES
-                if router.is_local(self, vaddr):
+                if home_of(vaddr) == node:
                     continue
+                remote |= 1 << slot
                 if vaddr not in mirror:
                     missing.append(vaddr)
                 elif mirror[vaddr] is None:
@@ -520,7 +543,7 @@ class MAPChip:
         pairs = []
         for slot in range(SLOTS):
             vaddr = address + slot * OP_BYTES
-            if router is not None and not router.is_local(self, vaddr):
+            if remote >> slot & 1:
                 pairs.append(self._remote_mirror[vaddr])
             else:
                 stored = self.memory.load_word(self.page_table.walk(vaddr))
@@ -859,9 +882,10 @@ class MAPChip:
         turbo = fast and self.router is None
         while self.now - start_cycle < max_cycles:
             if self._runnable_count == 0:
-                return RunResult(self.now - start_cycle,
-                                 self.stats.issued_bundles - start_bundles,
-                                 self._stop_reason())
+                return _new_result(RunResult, (
+                    self.now - start_cycle,
+                    self.stats.issued_bundles - start_bundles,
+                    self._stop_reason()))
             if fast and self._ready_count == 0:
                 # Everyone is blocked on the memory system: jump the
                 # clock to the first wake-up (bounded by the cycle
@@ -872,9 +896,10 @@ class MAPChip:
                 if idle_streak + (target - self.now) > self.IDLE_LIMIT:
                     skip = self.IDLE_LIMIT - idle_streak + 1
                     self._skip_idle(min(skip, horizon - self.now))
-                    return RunResult(self.now - start_cycle,
-                                     self.stats.issued_bundles - start_bundles,
-                                     RunReason.DEADLOCK)
+                    return _new_result(RunResult, (
+                        self.now - start_cycle,
+                        self.stats.issued_bundles - start_bundles,
+                        RunReason.DEADLOCK))
                 if target > self.now:
                     idle_streak += target - self.now
                     self._skip_idle(target - self.now)
@@ -900,13 +925,15 @@ class MAPChip:
                 idle_streak += 1
                 # every runnable thread is blocked; fast-forward sanity
                 if idle_streak > self.IDLE_LIMIT:
-                    return RunResult(self.now - start_cycle,
-                                     self.stats.issued_bundles - start_bundles,
-                                     RunReason.DEADLOCK)
+                    return _new_result(RunResult, (
+                        self.now - start_cycle,
+                        self.stats.issued_bundles - start_bundles,
+                        RunReason.DEADLOCK))
             else:
                 idle_streak = 0
-        return RunResult(max_cycles, self.stats.issued_bundles - start_bundles,
-                         RunReason.MAX_CYCLES)
+        return _new_result(RunResult, (
+            max_cycles, self.stats.issued_bundles - start_bundles,
+            RunReason.MAX_CYCLES))
 
     def advance_idle(self, cycles: int) -> None:
         """Publicly advance the clock over guaranteed-idle cycles.

@@ -636,8 +636,8 @@ def _unit(unit, chip: "MAPChip", op: Operation):
 
 def _compile_int(chip: "MAPChip", op: Operation):
     """The integer-slot closure of any op but a branch
-    (:func:`_compile_branch`).  ALU ops, MOVI, MOV, HALT and TRAP are
-    defined here; the rest call :func:`_int_unit`."""
+    (:func:`_compile_branch`).  ALU ops, MOVI, MOV, HALT, TRAP and JMP
+    are defined here; ISPTR and GETIP call :func:`_int_unit`."""
     code = op.opcode
     rd, ra, rb, imm = op.rd, op.ra, op.rb, op.imm
     if code is Opcode.NOP:
@@ -687,6 +687,22 @@ def _compile_int(chip: "MAPChip", op: Operation):
         def trap(thread, regs, commits, now):
             raise TrapFault(imm)
         return trap
+    if code is Opcode.JMP:
+        check_jump = ops.check_jump
+        obs = chip.obs
+
+        def jmp(thread, regs, commits, now):
+            target_word = regs.read(ra)
+            new_ip = check_jump(target_word, thread.privileged)
+            auditor = chip.jump_auditor
+            if auditor is not None:
+                auditor(thread, GuardedPointer.from_word(target_word),
+                        new_ip, now)
+            if obs.enabled:
+                obs.note_jump(thread, target_word, new_ip, now,
+                              thread.scheduler.cluster_id)
+            return new_ip
+        return jmp
     return _unit(_int_unit, chip, op)
 
 
@@ -807,7 +823,7 @@ def _compile_mem(chip: "MAPChip", op: Operation):
 
 def _int_unit(chip: "MAPChip", thread: Thread, op: Operation,
               commits: list, now: int):
-    """ISPTR, GETIP and JMP; returns JMP's target, else None."""
+    """ISPTR and GETIP."""
     code = op.opcode
     regs = thread.regs
     if code is Opcode.ISPTR:
@@ -816,18 +832,6 @@ def _int_unit(chip: "MAPChip", thread: Thread, op: Operation,
     if code is Opcode.GETIP:
         commits.append(("r", op.rd, _lea(chip, thread.ip.word, op.imm).word))
         return None
-    if code is Opcode.JMP:
-        target_word = regs.read(op.ra)
-        new_ip = ops.check_jump(target_word, thread.privileged)
-        auditor = chip.jump_auditor
-        if auditor is not None:
-            auditor(thread, GuardedPointer.from_word(target_word),
-                    new_ip, now)
-        obs = chip.obs
-        if obs.enabled:
-            obs.note_jump(thread, target_word, new_ip, now,
-                          cluster=thread.scheduler.cluster_id)
-        return new_ip
     raise AssertionError(f"unhandled integer op {code.name}")
 
 

@@ -851,7 +851,7 @@ class LocalShards:
                 chip._skip_idle(end - chip.now)
                 continue
             while chip.now < end and chip._runnable_count:
-                issued += chip.run(max_cycles=end - chip.now).issued_bundles
+                issued += chip.run(end - chip.now).issued_bundles
         if drain:
             self.collect()
         return issued

@@ -16,7 +16,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.core.permissions import Permission
+from repro.core.constants import PERM_SHIFT
+from repro.core.permissions import (EXECUTE_BY_CODE, PERMISSION_BY_CODE,
+                                    Permission)
 from repro.core.pointer import GuardedPointer
 from repro.machine.faults import FaultRecord
 from repro.machine.registers import RegisterFile
@@ -28,6 +30,9 @@ from repro.machine.registers import RegisterFile
 #: reply cycle).  Far beyond any reachable cycle count, so the normal
 #: wake scan never fires on it.
 REMOTE_WAIT = 1 << 60
+
+#: the permission field of a privileged IP
+_EXECUTE_PRIV = int(Permission.EXECUTE_PRIV)
 
 
 class ThreadState(enum.Enum):
@@ -79,7 +84,12 @@ class Thread:
     slot: int = field(default=0, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.ip.permission.is_execute:
+        # the IP word's permission field, read as the fetch check reads
+        # it: a reserved code, then any non-execute code, raises
+        code = self.ip.word.value >> PERM_SHIFT
+        if not EXECUTE_BY_CODE[code]:
+            if PERMISSION_BY_CODE[code] is None:
+                raise ValueError(f"reserved permission code: {code}")
             raise ValueError("a thread's IP must be an execute pointer")
 
     @property
@@ -96,7 +106,7 @@ class Thread:
     @property
     def privileged(self) -> bool:
         """True while running with an execute-privileged IP (§2.2)."""
-        return self.ip.permission is Permission.EXECUTE_PRIV
+        return self.ip.word.value >> PERM_SHIFT == _EXECUTE_PRIV
 
     def block_until(self, cycle: int) -> None:
         self.state = ThreadState.BLOCKED

@@ -6,10 +6,13 @@ classes in :data:`~repro.obs.events.EVENT_NAMES`:
 
 * ``hub.enabled`` — the master switch.  Cold-path events (faults,
   enter crossings, swap, migration, spawn/halt, request admission) and
-  the latency histograms are on by default; their cost is negligible
-  because the paths are rare or already expensive.  ``enabled =
-  False`` turns the whole subsystem into a handful of dead branches,
-  which is what the tracing-overhead benchmark measures.
+  the latency histograms are on by default.  Cold does not mean rare:
+  every service request spawns, crosses a gateway and back, and halts,
+  so the flight recorder keeps compact tuples and the enter tracker
+  reads permission fields off the words (the per-request cost is in
+  ``docs/OBSERVABILITY.md`` §9).  ``enabled = False`` turns the whole
+  subsystem into a handful of dead branches, which is what the
+  tracing-overhead benchmark measures.
 * ``hub.spans`` — true exactly while *any* sink is attached.  Per-miss
   sites (cache fill, TLB walk, router hop) guard with one attribute
   load and branch (``if obs.spans:``), so span recording — what the
@@ -47,6 +50,8 @@ from __future__ import annotations
 
 from collections import deque
 
+from repro.core.constants import ADDRESS_MASK, PERM_SHIFT
+from repro.core.permissions import Permission
 from repro.obs.events import TraceEvent, encode_event
 from repro.obs.histogram import Histogram
 
@@ -58,23 +63,38 @@ FLIGHT_CAPACITY = 512
 HISTOGRAM_NAMES = ("load_to_use", "fault_residency", "enter_roundtrip",
                    "remote_latency")
 
+#: the permission fields the enter-call tracker tells apart
+_ENTER_USER = int(Permission.ENTER_USER)
+_ENTER_PRIV = int(Permission.ENTER_PRIV)
+_EXECUTE_USER = int(Permission.EXECUTE_USER)
+
 
 class FlightRecorder:
-    """A fixed-size ring of the most recent events."""
+    """A fixed-size ring of the most recent events.
+
+    The ring keeps each event as a plain tuple of the seven
+    :class:`TraceEvent` fields in declaration order (``name, cycle,
+    node, cluster, tid, dur, args``): the hub appends one per cold
+    event, every service request makes four, and a tuple costs no
+    Python frame where the frozen dataclass's ``__init__`` runs one
+    ``object.__setattr__`` per field.  Reading the ring
+    (:meth:`events`, :meth:`dump`) builds the events.
+    """
 
     __slots__ = ("_ring", "total")
 
     def __init__(self, capacity: int = FLIGHT_CAPACITY):
-        self._ring: deque[TraceEvent] = deque(maxlen=capacity)
+        self._ring: deque[tuple] = deque(maxlen=capacity)
         #: events ever recorded (so ``total - len(ring)`` = dropped)
         self.total = 0
 
     def append(self, event: TraceEvent) -> None:
-        self._ring.append(event)
+        self._ring.append((event.name, event.cycle, event.node,
+                           event.cluster, event.tid, event.dur, event.args))
         self.total += 1
 
     def events(self) -> list[TraceEvent]:
-        return list(self._ring)
+        return [TraceEvent(*fields) for fields in self._ring]
 
     def clear(self) -> None:
         self._ring.clear()
@@ -94,7 +114,7 @@ class FlightRecorder:
             "capacity": self.capacity,
             "total": self.total,
             "dropped": max(self.total - len(self._ring), 0),
-            "events": [encode_event(e) for e in self._ring],
+            "events": [encode_event(e) for e in self.events()],
         }
 
 
@@ -181,11 +201,14 @@ class TraceHub:
         ``if obs.hot:`` first so the call never happens untraced."""
         if not self.enabled:
             return
-        event = TraceEvent(name=name, cycle=cycle, node=self.node,
-                           cluster=cluster, tid=tid, dur=dur, args=args)
-        self.flight.append(event)
-        for sink in self._sinks:
-            sink.append(event)
+        fields = (name, cycle, self.node, cluster, tid, dur, args)
+        flight = self.flight
+        flight._ring.append(fields)
+        flight.total += 1
+        if self._sinks:
+            event = TraceEvent(*fields)
+            for sink in self._sinks:
+                sink.append(event)
 
     def now(self) -> int:
         """The chip clock, for sites without a cycle argument."""
@@ -204,29 +227,35 @@ class TraceHub:
 
         Round trips are only tracked for ENTER_PRIV gateways — the
         privilege drop is the unambiguous architectural return signal.
-        ENTER_USER crossings emit ``enter.call`` only.
+        ENTER_USER crossings emit ``enter.call`` only.  A tid's stack is
+        dropped when it empties, so a long service run keeps no entry
+        per request.
+
+        Both permissions are read from the words' fields: every
+        service request makes two of these calls.
         """
         if not self.enabled:
             return
-        from repro.core.permissions import Permission
-        from repro.core.pointer import GuardedPointer
-
-        target = GuardedPointer.from_word(target_word).permission
-        if target.is_enter:
-            self.emit("enter.call", now, cluster=cluster, tid=thread.tid,
-                      target=new_ip.address,
-                      priv=target is Permission.ENTER_PRIV)
-            if target is Permission.ENTER_PRIV:
-                self._enter_stack.setdefault(thread.tid, []).append(now)
+        code = target_word.value >> PERM_SHIFT
+        if code == _ENTER_USER or code == _ENTER_PRIV:
+            tid = thread.tid
+            priv = code == _ENTER_PRIV
+            self.emit("enter.call", now, cluster=cluster, tid=tid,
+                      target=new_ip.word.value & ADDRESS_MASK, priv=priv)
+            if priv:
+                self._enter_stack.setdefault(tid, []).append(now)
             return
-        if (thread.privileged
-                and new_ip.permission is Permission.EXECUTE_USER):
-            stack = self._enter_stack.get(thread.tid)
+        if (new_ip.word.value >> PERM_SHIFT == _EXECUTE_USER
+                and thread.privileged):
+            tid = thread.tid
+            stack = self._enter_stack.get(tid)
             if stack:
                 duration = now - stack.pop()
-                self.emit("enter.return", now, cluster=cluster,
-                          tid=thread.tid, dur=duration,
-                          target=new_ip.address)
+                if not stack:
+                    del self._enter_stack[tid]
+                self.emit("enter.return", now, cluster=cluster, tid=tid,
+                          dur=duration,
+                          target=new_ip.word.value & ADDRESS_MASK)
                 self.enter_roundtrip.add(duration)
 
     # -- counter integration -------------------------------------------

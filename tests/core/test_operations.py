@@ -361,6 +361,57 @@ class TestJumpChecks:
         assert ip.seglen == 10
 
 
+def fields_check_jump(word: TaggedWord, privileged: bool) -> GuardedPointer:
+    """A field-level JMP oracle: decode the pointer through
+    :meth:`GuardedPointer.from_word` and its permission, and convert an
+    enter pointer with :meth:`GuardedPointer.with_fields`."""
+    if not word.tag:
+        raise TagFault("jump requires a guarded pointer, got an integer")
+    p = GuardedPointer.from_word(word)
+    perm = p.permission
+    if perm.is_execute:
+        return p
+    if perm is Permission.ENTER_USER:
+        return p.with_fields(perm=Permission.EXECUTE_USER)
+    if perm is Permission.ENTER_PRIV:
+        return p.with_fields(perm=Permission.EXECUTE_PRIV)
+    raise PermissionFault(f"jump through {perm.name} pointer")
+
+
+def jump_word(tag: bool, code: int, seglen: int, address: int) -> TaggedWord:
+    return TaggedWord((code << c.PERM_SHIFT) | (seglen << c.LENGTH_SHIFT)
+                      | address, tag=tag)
+
+
+class TestJumpOracle:
+    """``check_jump`` works on the word's bits; every path must match
+    the field-level oracle: result word, or exception type and message,
+    in the oracle's order (tag, reserved code, an enter length beyond
+    54, permission)."""
+
+    @given(tag=st.booleans(), code=st.integers(0, 15),
+           seglen=st.integers(0, 63),
+           address=st.integers(0, c.ADDRESS_MASK),
+           privileged=st.booleans())
+    def test_matches_the_field_oracle(self, tag, code, seglen, address,
+                                      privileged):
+        word = jump_word(tag, code, seglen, address)
+        assert outcome(check_jump, word, privileged) == \
+            outcome(fields_check_jump, word, privileged)
+
+    def test_every_code_and_length(self):
+        for tag in (False, True):
+            for code in range(16):
+                for seglen in range(64):
+                    for address in (0, 0x9040, c.ADDRESS_MASK):
+                        word = jump_word(tag, code, seglen, address)
+                        for privileged in (False, True):
+                            assert outcome(check_jump, word, privileged) \
+                                == outcome(fields_check_jump, word,
+                                           privileged), \
+                                (tag, code, seglen, hex(address))
+
+
 class TestCasts:
     def test_pointer_to_integer_yields_offset(self):
         p = ptr(address=0x4277, seglen=8)

@@ -11,6 +11,7 @@ from repro.core.exceptions import (
 from repro.core.permissions import Permission
 from repro.core.pointer import GuardedPointer
 from repro.core.word import TaggedWord
+from repro.machine.chip import RunReason, RunResult
 from repro.machine.faults import TrapFault
 from repro.machine.thread import ThreadState
 
@@ -446,3 +447,26 @@ class TestRunLoop:
         t, r = run_program(chip, "movi r1, 1\nmovi r2, 2\nhalt")
         assert r.issued_bundles == 3
         assert 0 < r.utilization <= 1
+
+
+class TestRunResult:
+    """A tuple the run loop builds without a frame, with the fields,
+    positional construction and ``utilization`` of the old record."""
+
+    def test_fields_and_positional_construction(self):
+        result = RunResult(10, 4, RunReason.HALTED)
+        assert (result.cycles, result.issued_bundles, result.reason) == \
+            (10, 4, "halted")
+        assert RunResult._fields == ("cycles", "issued_bundles", "reason")
+        assert result == RunResult(cycles=10, issued_bundles=4,
+                                   reason=RunReason.HALTED)
+        assert result.utilization == 0.4
+        assert RunResult(0, 0, RunReason.DEADLOCK).utilization == 0.0
+
+    def test_the_run_loop_returns_one(self, chip):
+        t, r = run_program(chip, "movi r1, 1\nhalt")
+        assert isinstance(r, RunResult) and isinstance(r, tuple)
+        assert type(r) is RunResult
+        cycles, bundles, reason = r
+        assert (cycles, bundles, reason) == (r.cycles, 2, "halted")
+        assert r == RunResult(r.cycles, 2, RunReason.HALTED)

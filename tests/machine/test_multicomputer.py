@@ -4,8 +4,9 @@ import inspect
 
 import pytest
 
-from repro.core.exceptions import PermissionFault
+from repro.core.exceptions import FetchPending, PageFault, PermissionFault
 from repro.core.permissions import Permission
+from repro.core.pointer import GuardedPointer
 from repro.core.word import TaggedWord
 from repro.machine.chip import ChipConfig, MAPChip
 from repro.machine.multicomputer import Multicomputer, Partition, node_bits_for
@@ -110,6 +111,41 @@ class TestRemoteAccess:
                                                       "now", "value"]
         assert all(kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
                    for _, kind, _ in shapes[0])
+
+    def straddling_fetch(self):
+        """A machine and an execute pointer on node 0 whose bundle's
+        first two words sit on an unmapped node-0 page and whose last
+        word sits on the next page, rehomed to node 1."""
+        mc = Multicomputer(shape=MeshShape(2, 1, 1),
+                           chip_config=ChipConfig(memory_bytes=2 * 1024 * 1024,
+                                                  page_bytes=512),
+                           arena_order=24)
+        chip = mc.chips[0]
+        base = mc.partition.base_of(0) + 0x10000
+        mc.rehome_page(base // 512 + 1, 1)
+        ip = GuardedPointer.make(Permission.EXECUTE_USER, 12, base + 496)
+        homes = [mc.home_of(base + 496 + 8 * slot) for slot in range(3)]
+        assert homes == [0, 0, 1]
+        with pytest.raises(PageFault):
+            chip.page_table.walk(base + 496)
+        return mc, chip, ip, base + 512
+
+    def test_a_missing_remote_word_pends_before_a_local_walk(self):
+        mc, chip, ip, remote = self.straddling_fetch()
+        with pytest.raises(FetchPending) as pending:
+            chip.fetch(ip)
+        assert pending.value.vaddr == ip.address
+        # one request, for the remote word only
+        assert [m[4] for m in mc._outbox[0] if m[0] == "fetch"] == [[remote]]
+
+    def test_a_negative_remote_answer_faults_before_a_local_walk(self):
+        mc, chip, ip, remote = self.straddling_fetch()
+        chip._remote_mirror[remote] = None  # the home had no mapping
+        with pytest.raises(PageFault) as fault:
+            chip.fetch(ip)
+        assert fault.value.vaddr == remote
+        assert "unmapped on its home node" in str(fault.value)
+        assert remote not in chip._remote_mirror  # one-shot
 
     def test_remote_loads_cost_network_latency(self):
         mc = small_machine()

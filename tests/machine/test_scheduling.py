@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+from repro.core.constants import LENGTH_SHIFT, PERM_SHIFT
 from repro.core.exceptions import TagFault
 from repro.core.permissions import Permission
 from repro.core.pointer import GuardedPointer
+from repro.core.word import TaggedWord
 from repro.machine.chip import ChipConfig, MAPChip
 from repro.machine.faults import FaultRecord
 from repro.machine.thread import ThreadState
@@ -126,6 +128,52 @@ class TestSlotReuse:
         chip.run()
         chip.clusters[0].remove_thread(threads[0])
         chip.spawn(ip, cluster=0)  # fits again
+
+
+class TestSpawn:
+    def test_placement_takes_the_lowest_least_active_cluster(self, chip):
+        ip = load(chip, SPIN.format(n=5))
+        for cluster in (0, 0, 1, 2, 3, 3):
+            chip.spawn(ip, cluster=cluster)
+        # active threads per cluster: 2, 1, 1, 2
+        placed = [chip.spawn(ip).scheduler.cluster_id for _ in range(4)]
+        assert placed == [1, 2, 0, 1]
+
+    def test_placement_matches_min_over_active_counts(self, chip):
+        rng = random.Random(7)
+        ip = load(chip, SPIN.format(n=5))
+        for _ in range(40):
+            counts = [c.active_count for c in chip.clusters]
+            if min(counts) == len(chip.clusters[0].slots):
+                break
+            expected = min(range(len(counts)), key=counts.__getitem__)
+            thread = chip.spawn(ip)
+            assert thread.scheduler.cluster_id == expected
+            if rng.random() < 0.3:
+                thread.state = ThreadState.HALTED  # halted: not active
+
+    def test_int_registers_are_masked_to_64_bits(self, chip):
+        ip = load(chip, SPIN.format(n=5))
+        data = data_segment(chip, 0x40000, 4096)
+        thread = chip.spawn(ip, regs={2: -1, 3: (1 << 64) | 5, 4: data.word,
+                                      5: 7})
+        regs = thread.regs
+        assert regs.read(2) == TaggedWord((1 << 64) - 1, tag=False)
+        assert regs.read(3) == TaggedWord(5, tag=False)
+        assert regs.read(4) is data.word
+        assert regs.read(5) == TaggedWord.integer(7)
+        assert regs.read(6) == TaggedWord.zero()
+
+    def test_a_thread_ip_must_be_an_execute_pointer(self, chip):
+        for perm in (Permission.READ_WRITE, Permission.ENTER_PRIV,
+                     Permission.KEY):
+            with pytest.raises(ValueError, match="must be an execute"):
+                chip.spawn(GuardedPointer.make(perm, 12, 0x10000))
+        reserved = GuardedPointer(TaggedWord(
+            (9 << PERM_SHIFT) | (12 << LENGTH_SHIFT) | 0x10000, tag=True))
+        with pytest.raises(ValueError, match="reserved permission code: 9"):
+            chip.spawn(reserved)
+        assert chip.all_threads() == []
 
 
 class TestMultiCluster:

@@ -7,7 +7,8 @@ import pytest
 from repro.core.permissions import Permission
 from repro.core.pointer import GuardedPointer
 from repro.obs import (FLIGHT_CAPACITY, HISTOGRAM_NAMES, FlightRecorder,
-                       TraceEvent, TraceHub, TraceSession, load_flight)
+                       TraceEvent, TraceHub, TraceSession, encode_event,
+                       load_flight)
 from repro.sim.api import Simulation
 
 
@@ -41,6 +42,72 @@ class TestFlightRecorder:
         assert len(flight) == 0
         assert flight.total == 0
         assert flight.capacity == FLIGHT_CAPACITY
+
+
+#: a fixed emission sequence: (name, cycle, keyword arguments of emit)
+EMITS = [
+    ("thread.spawn", 3, {"cluster": 1, "tid": 7, "domain": 2}),
+    ("enter.call", 5, {"cluster": 1, "tid": 7, "target": 0x2000,
+                       "priv": True}),
+    ("swap.out", 6, {"page": 9}),
+    ("enter.return", 9, {"cluster": 1, "tid": 7, "dur": 4,
+                         "target": 0x1008}),
+    ("thread.halt", 10, {"cluster": 0, "tid": 7, "bundles": 12}),
+    ("request.done", 11, {"tid": 7, "dur": 0, "req": 1, "state": "ok"}),
+]
+
+
+def expected_event(name, cycle, node, kwargs):
+    """The event ``emit`` describes, built the keyword way."""
+    args = dict(kwargs)
+    return TraceEvent(name=name, cycle=cycle, node=node,
+                      cluster=args.pop("cluster", None),
+                      tid=args.pop("tid", None), dur=args.pop("dur", None),
+                      args=args)
+
+
+class TestCompactRing:
+    """The ring keeps plain tuples; every reader still sees exactly the
+    events, dump and sink stream the dataclass ring gave."""
+
+    def emit_all(self, hub):
+        for name, cycle, kwargs in EMITS:
+            hub.emit(name, cycle, **kwargs)
+
+    def test_events_and_dump_equal_the_event_encoding(self):
+        hub = TraceHub(node=2, flight_capacity=4)
+        self.emit_all(hub)
+        expected = [expected_event(name, cycle, 2, kwargs)
+                    for name, cycle, kwargs in EMITS][-4:]
+        assert hub.flight.events() == expected
+        assert all(type(e) is TraceEvent for e in hub.flight.events())
+        assert hub.flight.dump() == {
+            "capacity": 4, "total": len(EMITS),
+            "dropped": len(EMITS) - 4,
+            "events": [encode_event(e) for e in expected]}
+
+    def test_append_round_trips(self):
+        events = [expected_event(name, cycle, 0, kwargs)
+                  for name, cycle, kwargs in EMITS]
+        flight = FlightRecorder()
+        for event in events:
+            flight.append(event)
+        assert flight.events() == events
+        assert load_flight(json.loads(json.dumps(flight.dump()))) == events
+        # a ring refilled from a dump (what restore does) dumps the same
+        refilled = FlightRecorder()
+        for event in load_flight(flight.dump()):
+            refilled.append(event)
+        assert refilled.dump() == flight.dump()
+
+    def test_a_sink_receives_the_events_the_ring_keeps(self):
+        hub = TraceHub(node=1)
+        hot, spans = [], []
+        hub.attach(hot)
+        hub.attach(spans, hot=False)
+        self.emit_all(hub)
+        assert all(type(e) is TraceEvent for e in hot)
+        assert hot == spans == hub.flight.events()
 
 
 class TestGating:
@@ -146,6 +213,77 @@ class TestEnterTracker:
         hub.note_jump(thread, back.word, back, now=50)  # no call on stack
         assert len(hub.flight) == 0
         assert hub.enter_roundtrip.count == 0
+
+    def test_a_drained_stack_is_dropped(self):
+        hub = TraceHub()
+        gate = _ptr(Permission.ENTER_PRIV, 0x20000)
+        inside = _ptr(Permission.EXECUTE_PRIV, 0x20000)
+        back = _ptr(Permission.EXECUTE_USER, 0x10008)
+        thread = _FakeThread(4, _ptr(Permission.EXECUTE_USER))
+        hub.note_jump(thread, gate.word, inside, now=10)
+        thread.ip = inside
+        hub.note_jump(thread, gate.word, inside, now=12)  # nested call
+        assert hub._enter_stack == {4: [10, 12]}
+        hub.note_jump(thread, back.word, back, now=20)
+        assert hub._enter_stack == {4: [10]}
+        hub.note_jump(thread, back.word, back, now=30)
+        assert hub._enter_stack == {}
+        assert [e.dur for e in hub.flight.events()
+                if e.name == "enter.return"] == [8, 20]
+
+
+GATEWAY = """
+entry:
+    movi r6, 1
+    addi r6, r6, 1
+    addi r6, r6, 1
+    jmp r15
+"""
+
+CALLER = """
+    getip r15, ret
+    jmp r1
+ret:
+    halt
+"""
+
+
+class TestEnterStackLifecycle:
+    def test_a_serve_run_leaves_no_stacks(self):
+        from repro.service import (ServiceLoadDriver, install_tenants,
+                                   open_loop)
+
+        sim = Simulation(memory_bytes=2 * 1024 * 1024, page_bytes=512)
+        driver = ServiceLoadDriver(sim, install_tenants(sim, 6))
+        report = driver.run(open_loop(requests=60, tenants=6,
+                                      mean_gap=10.0, seed=0))
+        assert report.completed == 60
+        assert sim.chip.obs.enter_roundtrip.count == 60
+        assert sim.chip.obs._enter_stack == {}
+
+    def test_a_capture_inside_the_gateway_round_trips(self, tmp_path):
+        from repro.runtime.subsystem import ProtectedSubsystem
+
+        sim = Simulation(memory_bytes=2 * 1024 * 1024)
+        gateway = ProtectedSubsystem.install(sim.kernel, GATEWAY,
+                                             privileged=True)
+        thread = sim.spawn(CALLER, regs={1: gateway.enter.word},
+                           stack_bytes=0)
+        while not thread.privileged:
+            sim.step()
+        obs = sim.chip.obs
+        assert obs._enter_stack == {thread.tid: [obs.flight.events()[-1]
+                                                 .cycle]}
+        sim.save(tmp_path / "mid-call.snap")
+        back = Simulation.restore(tmp_path / "mid-call.snap")
+        assert back.chip.obs._enter_stack == obs._enter_stack
+        sim.run()
+        back.run()
+        for done in (sim, back):
+            assert done.chip.obs._enter_stack == {}
+            assert done.chip.obs.enter_roundtrip.count == 1
+        assert back.chip.obs.flight.dump() == obs.flight.dump()
+        assert back.snapshot() == sim.snapshot()
 
 
 class TestTraceSession:
