@@ -19,8 +19,10 @@ Runs a multithreaded load/store workload under five configurations:
 * ``traced`` — a :class:`~repro.obs.hub.TraceSession` attached: every
   hot event materializes (the ceiling; only paid while tracing).
 
-All of them must agree on the simulated cycle count exactly — emission
-and sampling never touch machine state.  The acceptance check is that
+Each configuration's wall time is its median over three interleaved
+rounds, after one untimed warm-up run.  All of them must agree on the
+simulated cycle count exactly — emission and sampling never touch
+machine state.  The acceptance check is that
 ``default`` and ``requests`` are within noise of ``disabled``; CI runs
 this file on every push.
 
@@ -65,6 +67,10 @@ done:
 #: no-sampler baseline the timeseries config is priced against
 CONFIGS = ("disabled", "default", "requests", "chunked", "timeseries",
            "traced")
+
+#: interleaved rounds of every configuration; each one's median wall
+#: time is reported
+ROUNDS = 3
 
 #: per-call cycle budget for the chunked configurations (the sampler
 #: polls at each chunk boundary, like the service driver's drain loop)
@@ -111,19 +117,28 @@ def _run(config: str, iterations: int) -> tuple[int, float, int]:
 
 
 def measure(iterations: int = ITERATIONS) -> dict:
-    """Time the workload under every configuration; cycle counts must
-    be bit-identical across them."""
+    """Time the workload under every configuration, as the median of
+    :data:`ROUNDS` interleaved rounds after one untimed warm-up run (a
+    process's first run pays one-off costs, and ``disabled``, the floor
+    every overhead is divided by, would pay them); cycle counts must be
+    bit-identical across them."""
     out: dict = {"workload": f"{THREADS} threads x {iterations} "
                              f"load/store iterations"}
+    _run(CONFIGS[0], iterations)
     cycles_seen = set()
+    walls: dict = {config: [] for config in CONFIGS}
+    for _ in range(ROUNDS):
+        for config in CONFIGS:
+            cycles, wall, events = _run(config, iterations)
+            cycles_seen.add(cycles)
+            walls[config].append(wall)
+            out[f"{config}_cycles"] = cycles
+            if config == "traced":
+                out["traced_events"] = events
     for config in CONFIGS:
-        cycles, wall, events = _run(config, iterations)
-        cycles_seen.add(cycles)
-        out[f"{config}_cycles"] = cycles
+        wall = statistics.median(walls[config])
         out[f"{config}_wall_s"] = wall
-        out[f"{config}_cycles_per_s"] = cycles / wall
-        if config == "traced":
-            out["traced_events"] = events
+        out[f"{config}_cycles_per_s"] = out[f"{config}_cycles"] / wall
     out["cycles_equal"] = len(cycles_seen) == 1
     # wall-clock cost of the always-on layer relative to the dead floor
     out["default_overhead"] = (out["default_wall_s"]
@@ -195,6 +210,7 @@ def test_trace_overhead(benchmark):
     r = benchmark.pedantic(measure, rounds=1, iterations=1)
     service = measure_service()
     emit("tracing overhead — disabled .. traced", "\n".join([
+        f"median of {ROUNDS} interleaved rounds, after a warm-up run",
         f"{'config':<10} {'cycles':>9} {'wall (s)':>9} {'cycles/s':>12}",
         "-" * 43,
         *(f"{c:<10} {r[f'{c}_cycles']:>9} {r[f'{c}_wall_s']:>9.3f} "

@@ -231,7 +231,7 @@ def check_store(word: TaggedWord) -> GuardedPointer:
     return ptr
 
 
-def check_jump(word: TaggedWord, privileged: bool) -> GuardedPointer:
+def check_jump(word: TaggedWord) -> GuardedPointer:
     """Validate ``word`` as a jump target and return the new instruction
     pointer.
 
@@ -242,7 +242,8 @@ def check_jump(word: TaggedWord, privileged: bool) -> GuardedPointer:
       enter-privileged pointer is how privileged mode is entered;
       jumping to any user pointer exits it.  No privilege is required
       to jump to an enter-privileged pointer — that is the point of the
-      gateway — so ``privileged`` is unused for enter targets.
+      gateway — so the check does not ask whether the jumper is
+      privileged.
     * Anything else (data pointers, keys, integers) faults.
 
     Every check reads the word's bits, as :func:`lea` does, with the

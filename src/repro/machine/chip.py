@@ -292,8 +292,8 @@ class MAPChip:
         #: outside the counter file)
         self.superblock_blocks = 0
         self.superblock_bundles = 0
-        #: solo-run telemetry (same reasoning): dispatches of
-        #: :meth:`_run_solo` and the bundles they issued
+        #: solo-run telemetry (same reasoning): runs of several ready
+        #: threads by :meth:`_run_alone` and the bundles they issued
         self.solo_runs = 0
         self.solo_bundles = 0
         #: (pointer word, offset) -> derived pointer, shared by every
@@ -722,70 +722,32 @@ class MAPChip:
             return RunReason.FAULTED
         return RunReason.HALTED
 
-    def _run_superblock(self, horizon: int) -> int:
-        """Issue straight-line bundles for the chip's single ready
-        thread in one dispatch (the busy-cycle twin of idle
-        fast-forward; see :meth:`Cluster.run_superblock`).
-
-        Eligibility is a property of the whole chip, checked here once
-        per dispatch: exactly one thread is ready, no cluster is
-        mid-drain (pending thread or active stall), the ready thread
-        would not trigger a domain-switch stall, and the run is bounded
-        by the earliest blocked-thread wake-up — so until then nothing
-        anywhere on the chip can act, every wake scan is a no-op, and
-        the only cluster with work is the ready thread's.  Returns the
-        cycles advanced (0 when the machine is not in an eligible
-        state; the caller then falls back to a normal :meth:`step`).
-        """
-        now = self.now
-        cluster = None
-        for cl in self.clusters:
-            if cl._n_ready:
-                cluster = cl
-                break
-        if cluster is None:
-            return 0
-        thread = None
-        for t in cluster.slots:
-            if t is not None and t._state is ThreadState.READY:
-                thread = t
-                break
-        if thread is None:
-            return 0
-        for cl in self.clusters:
-            if cl._pending is not None or now < cl._stall_until:
-                return 0
-        penalty = self.config.domain_switch_penalty
-        if (penalty and cluster.last_domain is not None
-                and thread.domain != cluster.last_domain):
-            return 0
-        wake = self.next_wake()
-        end = horizon if wake is None else min(wake, horizon)
-        if end <= now:
-            return 0
-        return cluster.run_superblock(thread, now, end)
-
-    def _run_solo(self, horizon: int) -> int:
-        """Step the one cluster holding ready threads alone, cycle by
-        cycle, for as long as nothing else on the chip can act.
-
-        This is the per-cycle twin of a superblock trace, for several
-        ready threads: every cycle still goes through
-        :meth:`Cluster.step` (wake scan, round-robin select,
-        domain-switch stall, fetch, issue), so threads in any mix of
-        protection domains interleave exactly as stepping interleaves
-        them.  What is hoisted is the chip's own per-cycle work: the
-        run loop's checks, and :meth:`step`'s visit to every cluster.
+    def _run_alone(self, horizon: int) -> int:
+        """Run the one cluster holding ready threads alone, for as long
+        as nothing else on the chip can act; returns the cycles advanced
+        (0 when the machine is not in an eligible state; the caller then
+        falls back to a normal :meth:`step`).
 
         Eligibility is checked once per dispatch: no other cluster is
         mid-drain (pending thread or active stall), and the run is
         bounded by the earliest blocked-thread wake-up, so until then
-        every other cluster only idles, and that is settled in bulk at
-        exit.  The run also ends after any cycle that changes the
-        chip's ready count (a block, halt or fault) or raises a fault
-        (whose handler may act on any thread), so the caller decides
-        again with fresh counts.  Returns the cycles advanced (0 when
-        ineligible; the caller then steps).
+        every wake scan is a no-op and every other cluster only idles,
+        which is settled in bulk at exit.
+
+        A lone ready thread runs its straight-line superblock in one
+        dispatch (:meth:`Cluster.run_superblock`, the busy-cycle twin
+        of idle fast-forward), unless hot tracing wants a per-bundle
+        event stream, its own cluster is mid-drain, or it would trigger
+        a domain-switch stall.  Several ready threads run *solo*: every
+        cycle still goes through :meth:`Cluster.step` (wake scan,
+        round-robin select, domain-switch stall, fetch, issue), so
+        threads in any mix of protection domains interleave exactly as
+        stepping interleaves them.  What is hoisted is the chip's own
+        per-cycle work: the run loop's checks, and :meth:`step`'s visit
+        to every cluster.  A solo run also ends after any cycle that
+        changes the chip's ready count (a block, halt or fault) or
+        raises a fault (whose handler may act on any thread), so the
+        caller decides again with fresh counts.
         """
         start = now = self.now
         cluster = None
@@ -801,29 +763,48 @@ class MAPChip:
         stats = self.stats
         ready = self._ready_count
         faults = stats.faults
-        step = cluster.step
-        issued = 0
-        while True:
-            self.now = now
-            if step(now):
-                issued += 1
-            now += 1
-            if (now == end or self._ready_count != ready
-                    or stats.faults != faults):
-                break
-        cycles = now - start
-        stats.cycles += cycles
+        if ready == 1:
+            mask = cluster._ready_mask
+            thread = cluster.slots[(mask & -mask).bit_length() - 1]
+            penalty = self.config.domain_switch_penalty
+            if (self.obs.hot or cluster._pending is not None
+                    or now < cluster._stall_until
+                    or penalty and cluster.last_domain is not None
+                    and thread.domain != cluster.last_domain):
+                return 0
+            issued = cluster.run_superblock(thread, now, end)
+            if not issued:
+                return 0
+            now += issued
+            # every trace cycle issued a bundle, and every one of those
+            # bundles was a decoded-bundle-cache hit (a faulting bundle
+            # issues too; only the thread's commit stats skip it)
+            self.fetch_hits += issued
+            self.superblock_blocks += 1
+            self.superblock_bundles += issued
+        else:
+            step = cluster.step
+            issued = 0
+            while True:
+                self.now = now
+                if step(now):
+                    issued += 1
+                now += 1
+                if (now == end or self._ready_count != ready
+                        or stats.faults != faults):
+                    break
+            self.solo_runs += 1
+            self.solo_bundles += issued
+        stats.cycles += now - start
         stats.issued_bundles += issued + self._settle_others(
             cluster, start, now, stats.faults != faults)
-        self.solo_runs += 1
-        self.solo_bundles += issued
-        return cycles
+        return now - start
 
     def _settle_others(self, cluster, start: int, end: int,
                        faulted: bool) -> int:
         """Settle every cluster but ``cluster`` for cycles ``[start,
-        end)`` of a solo run or trace on ``cluster``, and set the clock
-        to ``end``; returns the bundles they issued.
+        end)`` of a run of ``cluster`` alone, and set the clock to
+        ``end``; returns the bundles they issued.
 
         Until the last cycle none of them could act, so they idle.  So
         does the last cycle unless it raised a fault (``faulted``): the
@@ -905,18 +886,9 @@ class MAPChip:
                     self._skip_idle(target - self.now)
                     continue
             if turbo and self._ready_clusters == 1:
-                # one cluster can issue: step it alone while several
-                # threads are ready there; a lone one tries to run its
-                # whole straight-line superblock in one dispatch (hot
-                # tracing wants a per-bundle event stream, so traces
-                # opt out)
-                horizon = start_cycle + max_cycles
-                if self._ready_count > 1:
-                    advanced = self._run_solo(horizon)
-                elif self.obs.hot:
-                    advanced = 0
-                else:
-                    advanced = self._run_superblock(horizon)
+                # one cluster can issue: run it alone (a lone ready
+                # thread traces, several step solo)
+                advanced = self._run_alone(start_cycle + max_cycles)
                 if advanced:
                     idle_streak = 0
                     continue

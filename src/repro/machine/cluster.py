@@ -402,19 +402,21 @@ class Cluster:
 
     def run_superblock(self, thread: Thread, start: int, end: int) -> int:
         """Execute ``thread``'s straight-line bundles for cycles
-        ``[start, end)`` in one dispatch; returns the cycles consumed.
+        ``[start, end)`` in one dispatch; returns the cycles consumed,
+        each of which issued one bundle.
 
-        The chip has proven (in :meth:`MAPChip._run_superblock`) that
+        The chip has proven (in :meth:`MAPChip._run_alone`) that
         nothing else can act before ``end``, so this loop is exactly
         the per-cycle path with the invariant parts hoisted: scheduling
         collapses to "this thread again", fetch collapses to a probe of
         the decoded-bundle cache, and cycle/issue/idle accounting is
-        settled in bulk at exit.  Each bundle runs the same compiled
-        node closures :meth:`_execute_bundle` runs —
-        execution units, guarded-pointer checks, cache timing, the
-        check memos, histograms, fault dispatch — so cycle counts,
-        counters and trace events are bit-identical to stepping the
-        same cycles one by one.  Any bundle the cache cannot answer (not
+        settled in bulk at exit: this cluster's and the thread's here,
+        the chip's totals and the other clusters' by the chip.  Each
+        bundle runs the same compiled node closures
+        :meth:`_execute_bundle` runs — execution units, guarded-pointer
+        checks, cache timing, the check memos, histograms, fault
+        dispatch — so cycle counts, counters and trace events are
+        bit-identical to stepping the same cycles one by one.  Any bundle the cache cannot answer (not
         decoded yet, self-modified, reached through a pointer word that
         has not passed the fetch checks, HALT/TRAP) exits the superblock
         and the normal path handles it.
@@ -458,9 +460,8 @@ class Cluster:
                 chip.now = now
                 self._fault(thread, cause,
                             self._fault_site(bundle, cause), now)
-                self._sb_exit(thread, bundles, operations, start, now + 1,
-                              True)
-                return now + 1 - start
+                now += 1
+                break
             if commits:
                 regs.commit(commits)
             bundles += 1
@@ -477,49 +478,30 @@ class Cluster:
                     _lea(chip, ip.word, BUNDLE_BYTES)
                 except GuardedPointerFault as cause:
                     self._fault(thread, cause, "ip-advance", now)
-                self._sb_exit(thread, bundles, operations, start, now + 1,
-                              True)
-                return now + 1 - start
+                now += 1
+                break
             if block_until is not None and block_until > now + 1:
                 thread.pending_writes.extend(pending)
                 thread.stats.stall_cycles += block_until - (now + 1)
                 thread.block_until(block_until)
-                self._sb_exit(thread, bundles, operations, start, now + 1,
-                              False)
-                return now + 1 - start
+                now += 1
+                break
             if pending:
                 regs.commit(pending)
             now += 1
             if now >= end:
                 break
-        if now > start:
-            self._sb_exit(thread, bundles, operations, start, now, False)
-        return now - start
-
-    def _sb_exit(self, thread: Thread, bundles: int, operations: int,
-                 start: int, end: int, faulted: bool) -> None:
-        """Settle the bulk accounting for a superblock spanning cycles
-        ``[start, end)`` — every total a per-cycle run would have
-        accumulated over the same stretch, applied at once.
-        ``faulted``: the last cycle raised a fault."""
-        n = end - start
-        chip = self.chip
-        chip.stats.cycles += n
-        # every superblock cycle issued a bundle, and every one of
-        # those bundles was a decoded-bundle-cache hit (a faulting
-        # bundle issues too; only the thread's commit stats skip it)
-        chip.fetch_hits += n
-        chip.superblock_blocks += 1
-        chip.superblock_bundles += n
-        self.issued_cycles += n
-        # scheduling bookkeeping a per-cycle run would have left behind
-        self._next_slot = (thread.slot + 1) % len(self.slots)
-        self.last_domain = thread.domain
-        self._last_tid = thread.tid
-        thread.stats.bundles += bundles
-        thread.stats.operations += operations
-        chip.stats.issued_bundles += n + chip._settle_others(self, start, end,
-                                                             faulted)
+        cycles = now - start
+        if cycles:
+            # the scheduling bookkeeping a per-cycle run would have
+            # left behind
+            self.issued_cycles += cycles
+            self._next_slot = (thread.slot + 1) % len(self.slots)
+            self.last_domain = thread.domain
+            self._last_tid = thread.tid
+            thread.stats.bundles += bundles
+            thread.stats.operations += operations
+        return cycles
 
     # -- fault plumbing ------------------------------------------------------
 
@@ -693,7 +675,7 @@ def _compile_int(chip: "MAPChip", op: Operation):
 
         def jmp(thread, regs, commits, now):
             target_word = regs.read(ra)
-            new_ip = check_jump(target_word, thread.privileged)
+            new_ip = check_jump(target_word)
             auditor = chip.jump_auditor
             if auditor is not None:
                 auditor(thread, GuardedPointer.from_word(target_word),

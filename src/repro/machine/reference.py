@@ -113,7 +113,7 @@ class ReferenceInterpreter:
         branch_target: GuardedPointer | None = None
         halted = False
 
-        target = self._exec_int(bundle.int_op, commits, privileged)
+        target = self._exec_int(bundle.int_op, commits)
         if target == "halt":
             halted = True
         elif target is not None:
@@ -131,7 +131,7 @@ class ReferenceInterpreter:
             self.ip = ops.lea(self.ip.word, BUNDLE_BYTES)
         return "running"
 
-    def _exec_int(self, op: Operation, commits, privileged: bool):
+    def _exec_int(self, op: Operation, commits):
         code = op.opcode
         regs = self.regs
         if code is Opcode.NOP:
@@ -170,7 +170,7 @@ class ReferenceInterpreter:
             taken = (value == 0) if code is Opcode.BEQ else (value != 0)
             return ops.lea(self.ip.word, op.imm) if taken else None
         if code is Opcode.JMP:
-            return ops.check_jump(regs.read(op.ra), privileged)
+            return ops.check_jump(regs.read(op.ra))
         raise AssertionError(f"unhandled integer op {code.name}")
 
     def _exec_fp(self, op: Operation, commits) -> None:

@@ -202,7 +202,7 @@ def install(kernel: Kernel) -> Services:
         """
         from repro.core.operations import check_jump
         try:
-            entry = check_jump(thread.regs.read(3), privileged=False)
+            entry = check_jump(thread.regs.read(3))
             regs: dict[int, object] = {1: thread.regs.read(4)}
             if thread.regs.read(6).tag:
                 regs[2] = thread.regs.read(6)

@@ -37,7 +37,7 @@ from repro.service.traffic import Request
 #: cycles the machine runs per scheduling decision while requests are
 #: queued waiting for a thread slot (bounds latency quantization: a
 #: freed slot goes unnoticed for at most this long)
-DEFAULT_QUANTUM = 16
+QUANTUM = 16
 
 
 @dataclass
@@ -132,18 +132,13 @@ class ServiceLoadDriver:
     """
 
     def __init__(self, sim, tenants: list[Tenant], *,
-                 ingress: str = "home", quantum: int = DEFAULT_QUANTUM,
-                 verify: bool = True, client_entries=None, exporter=None,
+                 ingress: str = "home", client_entries=None, exporter=None,
                  recorder=None, sampler=None):
         if ingress not in ("home", "scatter"):
             raise ValueError(f"unknown ingress policy: {ingress!r}")
-        if quantum <= 0:
-            raise ValueError("quantum must be positive")
         self.sim = sim
         self.tenants = tenants
         self.ingress = ingress
-        self.quantum = quantum
-        self.verify = verify
         self.exporter = exporter
         #: a :class:`~repro.obs.requests.RequestTraceRecorder` — told
         #: about every admission/retirement for tail attribution.  On a
@@ -200,7 +195,7 @@ class ServiceLoadDriver:
             self.exporter.record(request, tenant, node,
                                  self.client_entries[node])
         self.dispatched[request.tenant] += 1
-        if self.verify and request.op == OP_PUT:
+        if request.op == OP_PUT:
             slot = request.key & (tenant.slots - 1)
             self._written.setdefault((request.tenant, slot),
                                      {0}).add(request.value)
@@ -236,8 +231,7 @@ class ServiceLoadDriver:
                 completed += 1
                 self.sim.record_sample(node, "request_latency",
                                        entry["halted_at"] - request.arrival)
-                if self.verify and not self._check_result(request,
-                                                          entry["result"]):
+                if not self._check_result(request, entry["result"]):
                     wrong += 1
             else:
                 errors += 1
@@ -356,7 +350,7 @@ class ServiceLoadDriver:
             # advance: bounded quanta while work is queued (so freed
             # slots are noticed), else to the next arrival
             if inflight:
-                horizon = self.quantum if any(queues) else budget
+                horizon = QUANTUM if any(queues) else budget
                 if not paused and next_i < len(schedule):
                     horizon = min(horizon,
                                   max(schedule[next_i].arrival - now, 1))

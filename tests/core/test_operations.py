@@ -337,31 +337,31 @@ class TestAccessChecks:
 
 class TestJumpChecks:
     def test_jump_to_execute(self):
-        ip = check_jump(ptr(Permission.EXECUTE_USER).word, privileged=False)
+        ip = check_jump(ptr(Permission.EXECUTE_USER).word)
         assert ip.permission == Permission.EXECUTE_USER
 
     def test_enter_user_converts_to_execute_user(self):
-        ip = check_jump(ptr(Permission.ENTER_USER).word, privileged=False)
+        ip = check_jump(ptr(Permission.ENTER_USER).word)
         assert ip.permission == Permission.EXECUTE_USER
 
     def test_enter_priv_converts_to_execute_priv(self):
         # unprivileged code may enter privileged mode ONLY via the gateway
-        ip = check_jump(ptr(Permission.ENTER_PRIV).word, privileged=False)
+        ip = check_jump(ptr(Permission.ENTER_PRIV).word)
         assert ip.permission == Permission.EXECUTE_PRIV
 
     def test_jump_to_data_pointer_faults(self):
         for perm in (Permission.READ_ONLY, Permission.READ_WRITE, Permission.KEY):
             with pytest.raises(PermissionFault):
-                check_jump(ptr(perm).word, privileged=False)
+                check_jump(ptr(perm).word)
 
     def test_jump_target_address_preserved(self):
         p = ptr(Permission.ENTER_USER, seglen=10, address=0x9040)
-        ip = check_jump(p.word, privileged=False)
+        ip = check_jump(p.word)
         assert ip.address == 0x9040
         assert ip.seglen == 10
 
 
-def fields_check_jump(word: TaggedWord, privileged: bool) -> GuardedPointer:
+def fields_check_jump(word: TaggedWord) -> GuardedPointer:
     """A field-level JMP oracle: decode the pointer through
     :meth:`GuardedPointer.from_word` and its permission, and convert an
     enter pointer with :meth:`GuardedPointer.with_fields`."""
@@ -391,13 +391,10 @@ class TestJumpOracle:
 
     @given(tag=st.booleans(), code=st.integers(0, 15),
            seglen=st.integers(0, 63),
-           address=st.integers(0, c.ADDRESS_MASK),
-           privileged=st.booleans())
-    def test_matches_the_field_oracle(self, tag, code, seglen, address,
-                                      privileged):
+           address=st.integers(0, c.ADDRESS_MASK))
+    def test_matches_the_field_oracle(self, tag, code, seglen, address):
         word = jump_word(tag, code, seglen, address)
-        assert outcome(check_jump, word, privileged) == \
-            outcome(fields_check_jump, word, privileged)
+        assert outcome(check_jump, word) == outcome(fields_check_jump, word)
 
     def test_every_code_and_length(self):
         for tag in (False, True):
@@ -405,11 +402,9 @@ class TestJumpOracle:
                 for seglen in range(64):
                     for address in (0, 0x9040, c.ADDRESS_MASK):
                         word = jump_word(tag, code, seglen, address)
-                        for privileged in (False, True):
-                            assert outcome(check_jump, word, privileged) \
-                                == outcome(fields_check_jump, word,
-                                           privileged), \
-                                (tag, code, seglen, hex(address))
+                        assert outcome(check_jump, word) \
+                            == outcome(fields_check_jump, word), \
+                            (tag, code, seglen, hex(address))
 
 
 class TestCasts:

@@ -97,33 +97,34 @@ class TestFastPathsAxisSabotage:
         assert divergence.axis == "fast-vs-plain"
         assert detail in divergence.detail, divergence.detail
 
-    def test_trace_exit_must_charge_idle_clusters(self, monkeypatch):
-        from repro.machine.cluster import Cluster
-        settle = Cluster._sb_exit
+    @staticmethod
+    def _forget_idle_clusters(monkeypatch):
+        """Break the settle of every run of one cluster alone: the
+        other clusters keep the idle cycles they had before it."""
+        from repro.machine.chip import MAPChip
+        settle = MAPChip._settle_others
 
-        def forgets_idle_clusters(self, thread, *args):
-            before = [cl.idle_cycles for cl in self.chip.clusters]
-            settle(self, thread, *args)
-            for cl, idle in zip(self.chip.clusters, before):
-                if cl is not self:
+        def forgets_idle_clusters(self, cluster, start, end, faulted):
+            before = [cl.idle_cycles for cl in self.clusters]
+            issued = settle(self, cluster, start, end, faulted)
+            for cl, idle in zip(self.clusters, before):
+                if cl is not cluster:
                     cl.idle_cycles = idle
+            return issued
 
-        monkeypatch.setattr(Cluster, "_sb_exit", forgets_idle_clusters)
+        monkeypatch.setattr(MAPChip, "_settle_others", forgets_idle_clusters)
+
+    def test_trace_exit_must_charge_idle_clusters(self, monkeypatch):
+        # one thread: every run alone is a trace
+        self._forget_idle_clusters(monkeypatch)
         self._assert_caught(self.LOOP, "cluster1.idle")
 
     def test_solo_run_must_charge_idle_clusters(self, monkeypatch):
-        from repro.machine.chip import MAPChip
-        run_solo = MAPChip._run_solo
-
-        def forgets_idle_clusters(self, horizon):
-            before = [cl.idle_cycles for cl in self.clusters]
-            cycles = run_solo(self, horizon)
-            for cl, idle in zip(self.clusters, before):
-                if cl.idle_cycles == idle + cycles:
-                    cl.idle_cycles = idle
-            return cycles
-
-        monkeypatch.setattr(MAPChip, "_run_solo", forgets_idle_clusters)
+        from repro.machine.cluster import Cluster
+        self._forget_idle_clusters(monkeypatch)
+        # no traces, so every run alone is a solo run
+        monkeypatch.setattr(Cluster, "run_superblock",
+                            lambda self, thread, start, end: 0)
         # two threads share cluster 0, so run() steps it alone; no
         # other scenario runs two threads at once
         case = FuzzCase(seed=0, scenario="interleave",

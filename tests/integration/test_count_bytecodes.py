@@ -11,6 +11,7 @@ in-process at scale 0.01, each against an unpatched count."""
 import dataclasses
 import importlib
 import importlib.util
+import io
 import json
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.machine.chip import ChipConfig, MAPChip
+from repro.machine.cluster import Cluster
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 TOOL = REPO_ROOT / "tools" / "count_bytecodes.py"
@@ -104,6 +106,23 @@ def unpatched(counter):
     return get
 
 
+def test_json_is_written_before_anything_prints(counter, monkeypatch,
+                                                tmp_path):
+    # ``--json FILE | head`` closes stdout while the tables print: FILE
+    # must already hold the new record, not the old one
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+    path = tmp_path / "counts.json"
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    with pytest.raises(BrokenPipeError):
+        counter.main(["--workload", "kernel_mt", "--scale", "0.01",
+                      "--json", str(path)])
+    (record,) = json.loads(path.read_text())["records"]
+    assert record["workload"] == "kernel_mt" and record["bundles"] > 0
+
+
 def test_costliest_functions_are_sorted_layered_and_bounded(counter,
                                                            unpatched):
     record = unpatched("serve_node")
@@ -147,11 +166,17 @@ def decode_cache_cleared(monkeypatch):
 
 
 def no_superblocks(monkeypatch):
-    monkeypatch.setattr(MAPChip, "_run_superblock", lambda self, horizon: 0)
+    monkeypatch.setattr(Cluster, "run_superblock",
+                        lambda self, thread, start, end: 0)
 
 
 def no_solo_runs(monkeypatch):
-    monkeypatch.setattr(MAPChip, "_run_solo", lambda self, horizon: 0)
+    run_alone = MAPChip._run_alone
+
+    def traces_only(self, horizon):
+        return 0 if self._ready_count > 1 else run_alone(self, horizon)
+
+    monkeypatch.setattr(MAPChip, "_run_alone", traces_only)
 
 
 @pytest.mark.parametrize("sabotage,workload", [
@@ -165,12 +190,18 @@ def no_solo_runs(monkeypatch):
 def test_a_lost_shortcut_changes_the_counts(counter, unpatched, monkeypatch,
                                             sabotage, workload):
     # what the ratio gate caught: the simulated work stays the same,
-    # the host work grows
+    # the host work grows.  A sabotage's wrapper, compiled in this
+    # file, counts as stdlib, so the growth must show in the
+    # simulator's own layers
     base = unpatched(workload)
     sabotage(monkeypatch)
     sabotaged = counter.count(workload, SCALE)
     assert sabotaged["bundles"] == base["bundles"]
-    assert sabotaged["total"] > base["total"]
+
+    def simulator(record):
+        return record["total"] - record["layers"][counter.STDLIB]
+
+    assert simulator(sabotaged) > simulator(base)
 
 
 #: for each layer that does work on serve_node, one function the layer

@@ -89,7 +89,7 @@ class TestSection21Permissions:
         targets for jump instructions.'"""
         ex = make(Permission.EXECUTE_USER)
         check_load(ex.word)
-        check_jump(ex.word, privileged=False)
+        check_jump(ex.word)
         with pytest.raises(PermissionFault):
             check_store(ex.word)
 
@@ -97,7 +97,7 @@ class TestSection21Permissions:
         """'Jumping to an enter pointer converts it to an execute
         pointer which is then loaded into the instruction pointer.'"""
         enter = make(Permission.ENTER_USER)
-        ip = check_jump(enter.word, privileged=False)
+        ip = check_jump(enter.word)
         assert ip.permission is Permission.EXECUTE_USER
         assert ip.address == enter.address
 

@@ -310,18 +310,20 @@ def assert_three_way(build):
 
 @pytest.fixture
 def solo_runs(monkeypatch):
-    """Records ``(ready threads at entry, cycles)`` for every solo run."""
-    run_solo = MAPChip._run_solo
+    """Records ``(ready threads at entry, cycles)`` for every solo run:
+    every run of one cluster alone that starts with two or more ready
+    threads."""
+    run_alone = MAPChip._run_alone
     runs = []
 
     def recording(self, horizon):
         ready = self._ready_count
-        cycles = run_solo(self, horizon)
-        if cycles:
+        cycles = run_alone(self, horizon)
+        if cycles and ready > 1:
             runs.append((ready, cycles))
         return cycles
 
-    monkeypatch.setattr(MAPChip, "_run_solo", recording)
+    monkeypatch.setattr(MAPChip, "_run_alone", recording)
     return runs
 
 
@@ -498,6 +500,37 @@ class TestSoloRuns:
 
         sim = assert_three_way(build)
         assert (sim.chip.clusters[0].switch_stall_cycles > 0) is stalls
+        assert sim.chip.solo_runs > 0
+
+    STRIDER = """
+        movi r2, 30
+    loop:
+        ld   r3, r8, 0
+        lea  r8, r8, 512
+        subi r2, r2, 1
+        bne  r2, loop
+        halt
+    """
+
+    @pytest.mark.parametrize("penalty", [3, 8])
+    def test_domain_switch_penalty_holds_a_trace_back(self, penalty):
+        # the strider's loads miss and block it, leaving a thread of
+        # another domain to trace alone: each trace must wait for the
+        # switch into its domain, and for the drain that follows
+        def build(fast_paths):
+            sim = Simulation(ChipConfig(memory_bytes=MEMORY,
+                                        domain_switch_penalty=penalty,
+                                        fast_paths=fast_paths))
+            data = sim.allocate(30 * 512, eager=True)
+            sim.spawn(sim.load(self.STRIDER), cluster=0, domain=1,
+                      regs={8: data.word})
+            sim.spawn(sim.load(UNIT_WORKLOADS["int-alu-imm"]), cluster=0,
+                      domain=2)
+            return sim
+
+        sim = assert_three_way(build)
+        assert sim.chip.clusters[0].switch_stall_cycles > 0
+        assert sim.chip.superblock_blocks > 0
         assert sim.chip.solo_runs > 0
 
     def test_traced_events_match_stepping(self):

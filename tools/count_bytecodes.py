@@ -330,16 +330,18 @@ def main(argv: list[str] | None = None) -> int:
 
     records = [count(name, scale=args.scale)
                for name in args.workload or DEFAULT_WORKLOADS]
-    print_table(records)
-    for record in records:
-        print_functions(record)
     if args.json:
+        # written before anything prints, so a reader that closes the
+        # pipe early (``| head``) cannot leave the old file in place
         payload = {"python": platform.python_version(),
                    "records": [{**{k: v for k, v in r.items()
                                    if k != "functions"},
                                 "per_bundle": per_bundle(r)}
                                for r in records]}
         Path(args.json).write_text(json.dumps(payload, indent=1) + "\n")
+    print_table(records)
+    for record in records:
+        print_functions(record)
     return 0
 
 
