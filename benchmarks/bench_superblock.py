@@ -5,9 +5,9 @@ Three single-thread workloads run with every shortcut on
 (``fast_paths=True``: superblock traces over the decode cache and
 memos) and on the plain per-cycle machine (``fast_paths=False``):
 
-* ``alu`` — a pure integer loop (every slot compiled: the ceiling);
+* ``alu`` — a pure integer loop (every bundle compiled: the ceiling);
 * ``worker`` — the E5 multithreading worker at one thread (two loads
-  per iteration through the compiled memory closures; the acceptance
+  per iteration through the compiled issue functions; the acceptance
   workload);
 * ``stream`` — a load/store/ALU mix like the data-stream benchmark.
 

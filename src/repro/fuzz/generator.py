@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.machine.assembler import assemble
+from repro.machine.assembler import AssemblyError, assemble
 
 #: every scenario the generator can emit
 SCENARIOS = (
@@ -73,9 +73,40 @@ _RRI = ("addi", "subi", "andi", "ori", "xori", "slti", "seqi")
 _FP = ("fadd", "fsub", "fmul", "fdiv")
 
 
+def pack_lines(lines: list[str], join) -> list[str]:
+    """``lines`` with runs of two or three adjacent ops joined into one
+    LIW bundle (``a | b``) wherever ``join()`` says to try and the
+    assembler takes them together: ops in distinct slots that write
+    distinct registers.  Labels stay alone, and so do branches, whose
+    labels a lone bundle cannot resolve.  Joined ops read the registers
+    as the bundle finds them, so packing exercises read-before-write
+    and fault atomicity across slots."""
+    out: list[str] = []
+    i = 0
+    while i < len(lines):
+        n = 1
+        if join():
+            while n < 3 and i + n < len(lines) and _one_bundle(
+                    lines[i:i + n + 1]):
+                n += 1
+        out.append(" | ".join(lines[i:i + n]))
+        i += n
+    return out
+
+
+def _one_bundle(lines: list[str]) -> bool:
+    if any(line.endswith(":") for line in lines):
+        return False
+    try:
+        return len(assemble(" | ".join(lines)).bundles) == 1
+    except AssemblyError:
+        return False
+
+
 def _body_lines(rng: random.Random, n: int, risky: bool = True,
                 tag: str = "", allow_skip: bool = True) -> list[str]:
-    """``n`` random body lines under the register conventions above.
+    """``n`` random body lines under the register conventions above,
+    some of them packed into multi-op bundles (:func:`pack_lines`).
 
     ``risky`` admits low-probability lines that are *expected* to fault
     (unaligned access, out-of-bounds derivation, unprivileged SETPTR,
@@ -150,7 +181,7 @@ def _body_lines(rng: random.Random, n: int, risky: bool = True,
                 lines.append(f"setptr r{d()}, r{r()}")
             else:
                 lines.append(f"trap {rng.randint(0, 7)}")
-    return lines
+    return pack_lines(lines, lambda: rng.random() < 0.3)
 
 
 def _loop(rng: random.Random, body: list[str], count: int | None = None) -> str:

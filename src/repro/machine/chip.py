@@ -38,16 +38,18 @@ and code:
 
 Under the cache sits a *content memo* keyed by the three words'
 values.  It keeps each distinct bundle decoded and compiled as far as
-no fetch pointer matters: every closure but a branch's, which capture
-only op fields and objects that live as long as the chip.  So code
-loaded at many addresses (every tenant's copy of a gateway) decodes
-and compiles once per chip, and a miss at a new address makes only
-its branch closure and fall-through IP.  Decoding is a pure function
-of the values, and a snapshot restore updates the cache port and the
-trace hub the closures hold in place, so no invalidation or capture
-reaches the memo; only :meth:`MAPChip.attach_router` empties it,
-because loads and stores bind their memory port by whether the chip
-is a mesh node.
+no fetch pointer matters: its one issue function, generated from the
+ops' template fragments (one fragment per opcode, in
+:mod:`repro.machine.cluster`), unless the bundle branches; the
+function captures only op fields and objects that live as long as the
+chip.  So code loaded at many addresses (every tenant's copy of a
+gateway) decodes and compiles once per chip, and a miss at a new
+address makes only a branch's issue function and the fall-through IP.
+Decoding is a pure function of the values, and a snapshot restore
+updates the cache port and the trace hub the functions hold in place,
+so no invalidation or capture reaches the memo; only
+:meth:`MAPChip.attach_router` empties it, because loads and stores
+bind their memory port by whether the chip is a mesh node.
 
 ``ChipConfig(fast_paths=False)`` turns it off together with every
 other simulator shortcut (see :class:`ChipConfig`).
@@ -407,7 +409,7 @@ class MAPChip:
         """Make this chip a mesh node serviced by ``router``.  Compiled
         loads and stores bind their memory port by whether a router is
         attached, so every decoded bundle is dropped here, and every
-        closure the content memo keeps with them."""
+        issue function the content memo keeps with them."""
         self.router = router
         self._flush_decoded_local()
         if self._decoded_words is not None:
@@ -462,9 +464,9 @@ class MAPChip:
         pure functions of the pointer's bits, so a fetch through such a
         word can skip them; a new pointer to the same address (other
         bounds, other permission) runs the checks before reusing the
-        address's closures.  Translation is re-walked whenever the cache
-        cannot answer — so an unmapped code page faults exactly as
-        before.
+        address's decoded bundle.  Translation is re-walked whenever
+        the cache cannot answer — so an unmapped code page faults
+        exactly as before.
 
         The checks read the pointer word, as ``ops.lea`` does: the
         execute right by code, then Figure 2's masked compare for the
@@ -474,10 +476,10 @@ class MAPChip:
 
         A miss reads the three words and looks their values up in the
         content memo: the same code at another address, or rewritten
-        back to what it was, reuses one decode and every closure that
-        no fetch pointer changes, so the miss compiles only its branch
-        and fall-through.  Tagged words bypass the memo and fail to
-        decode as always.  The memo and the address cache are both
+        back to what it was, reuses one decode and the issue function
+        if no fetch pointer changes it, so the miss compiles only a
+        branch's issue function and the fall-through.  Tagged words
+        bypass the memo and fail to decode as always.  The memo and the address cache are both
         ``fast_paths`` shortcuts; the plain machine reads, decodes and
         compiles on every fetch.
         """
@@ -501,12 +503,16 @@ class MAPChip:
             raise PermissionFault("bundle extends past the code segment")
         if nodes is not None:
             # a new pointer to an already-decoded address: checks
-            # passed, so reuse a sibling's closures (no re-walk) and
-            # bind the bundle to this word, whose branch targets and
+            # passed, so reuse a sibling's issue function (no re-walk)
+            # and bind the bundle to this word, whose branch targets and
             # fall-through differ
             self.fetch_hits += 1
-            node = nodes[word] = bind_bundle(self, next(iter(nodes.values())),
-                                             ip)
+            sibling = next(iter(nodes.values()))
+            if sibling[2] is None:
+                # its fall-through leaves the segment, so a load's
+                # issue function is bound to its word: share anew
+                sibling = share_bundle(self, sibling[0])
+            node = nodes[word] = bind_bundle(self, sibling, ip)
             return node
         self.fetch_misses += 1
         router = self.router
@@ -738,7 +744,10 @@ class MAPChip:
         dispatch (:meth:`Cluster.run_superblock`, the busy-cycle twin
         of idle fast-forward), unless hot tracing wants a per-bundle
         event stream, its own cluster is mid-drain, or it would trigger
-        a domain-switch stall.  Several ready threads run *solo*: every
+        a domain-switch stall.  Its first bundle is probed before the
+        wake scan: one the decode cache does not hold, or one that ends
+        traces, declines the dispatch at once, as the trace would stop
+        in front of it.  Several ready threads run *solo*: every
         cycle still goes through :meth:`Cluster.step` (wake scan,
         round-robin select, domain-switch stall, fetch, issue), so
         threads in any mix of protection domains interleave exactly as
@@ -756,16 +765,25 @@ class MAPChip:
                 cluster = cl
             elif cl._pending is not None or now < cl._stall_until:
                 return 0
+        ready = self._ready_count
+        if ready == 1:
+            mask = cluster._ready_mask
+            thread = cluster.slots[(mask & -mask).bit_length() - 1]
+            # the trace's first probe, made before anything else is
+            # read: a bundle the decode cache does not hold, or one
+            # that ends traces, would stop it before its first issue
+            word = thread.ip.word.value
+            nodes = self._decode_cache.get(word & _ADDRESS_MASK)
+            node = None if nodes is None else nodes.get(word)
+            if node is None or node[4]:  # not decoded, or ends_trace
+                return 0
         wake = self.next_wake()
         end = horizon if wake is None else min(wake, horizon)
         if end <= now:
             return 0
         stats = self.stats
-        ready = self._ready_count
         faults = stats.faults
         if ready == 1:
-            mask = cluster._ready_mask
-            thread = cluster.slots[(mask & -mask).bit_length() - 1]
             penalty = self.config.domain_switch_penalty
             if (self.obs.hot or cluster._pending is not None
                     or now < cluster._stall_until
@@ -854,11 +872,11 @@ class MAPChip:
         start_bundles = self.stats.issued_bundles
         idle_streak = 0
         fast = self.config.fast_paths
-        # no superblock traces on a mesh node: the trace loop has no
-        # REMOTE_WAIT exit, so a remote load inside a trace would be
-        # charged as a stall of ~2**60 cycles.  (Adding that exit does
-        # not pay: the windows cut traces to ~4 bundles, and serve_mesh
-        # measured no faster; PERF.md §6.)  Solo runs share the gate,
+        # no superblock traces on a mesh node: the windows cut traces
+        # to ~4 bundles, and serve_mesh measured no faster with them
+        # (PERF.md §6).  A remote load in a trace would block its
+        # thread on REMOTE_WAIT inside the issue function, exactly as
+        # stepping does, and end the trace.  Solo runs share the gate,
         # so a mesh node still steps every cycle (ROADMAP).
         turbo = fast and self.router is None
         while self.now - start_cycle < max_cycles:

@@ -17,14 +17,18 @@ re-executed after the kernel repairs the cause.  Operations are
 evaluated int → fp → mem, with the memory access — the only operation
 with a side effect beyond registers — performed last.
 
-Each opcode's semantics are written once, as the closure its compile
-function builds when a bundle is decoded (:func:`share_bundle`); the
-per-cycle path and superblock traces both run those closures.
+Each opcode's semantics are written once, as one template fragment
+(``_FRAGMENTS``).  A decoded bundle runs as one generated function,
+built from its three ops' fragments (:func:`share_bundle`), which the
+per-cycle path and superblock traces both call once per issue.
 """
 
 from __future__ import annotations
 
+import ast
 import math
+import sys
+from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 from repro.core import operations as ops
@@ -41,7 +45,7 @@ from repro.core.pointer import GuardedPointer
 from repro.core.word import TaggedWord, to_s64
 from repro.machine.disasm import disassemble_bundle
 from repro.machine.faults import FaultRecord, TrapFault
-from repro.machine.isa import BUNDLE_BYTES, Bundle, Opcode, Operation
+from repro.machine.isa import BUNDLE_BYTES, Bundle, Opcode
 from repro.machine.registers import float_to_word, saturating_ftoi, word_to_float
 from repro.machine.thread import REMOTE_WAIT, Thread, ThreadState
 
@@ -51,48 +55,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class _Halt(Exception):
     """Internal: bundle executed a HALT."""
-
-
-def _ieee_div(a: float, b: float) -> float:
-    try:
-        return a / b
-    except ZeroDivisionError:
-        if a == 0 or math.isnan(a):
-            return math.nan
-        return math.inf if (a > 0) == (b >= 0) else -math.inf
-
-
-_INT_ALU = {
-    Opcode.ADD: lambda a, b: a + b,
-    Opcode.SUB: lambda a, b: a - b,
-    Opcode.MUL: lambda a, b: a * b,
-    Opcode.AND: lambda a, b: a & b,
-    Opcode.OR: lambda a, b: a | b,
-    Opcode.XOR: lambda a, b: a ^ b,
-    Opcode.SHL: lambda a, b: a << (b & 63),
-    Opcode.SHR: lambda a, b: a >> (b & 63),
-    Opcode.SLT: lambda a, b: int(to_s64(a) < to_s64(b)),
-    Opcode.SEQ: lambda a, b: int(a == b),
-}
-
-_INT_ALU_IMM = {
-    Opcode.ADDI: Opcode.ADD,
-    Opcode.SUBI: Opcode.SUB,
-    Opcode.ANDI: Opcode.AND,
-    Opcode.ORI: Opcode.OR,
-    Opcode.XORI: Opcode.XOR,
-    Opcode.SHLI: Opcode.SHL,
-    Opcode.SHRI: Opcode.SHR,
-    Opcode.SLTI: Opcode.SLT,
-    Opcode.SEQI: Opcode.SEQ,
-}
-
-_FP_ALU = {
-    Opcode.FADD: lambda a, b: a + b,
-    Opcode.FSUB: lambda a, b: a - b,
-    Opcode.FMUL: lambda a, b: a * b,
-    Opcode.FDIV: _ieee_div,
-}
 
 
 class Cluster:
@@ -154,6 +116,10 @@ class Cluster:
     def _evict(self, thread: Thread) -> None:
         self._count(thread._state, -1)
         self._ready_mask &= ~(1 << thread.slot)
+        if self._pending is thread:
+            # it no longer issues here when the drain ends; the drain's
+            # stall has begun and stays
+            self._pending = None
         thread.scheduler = None
 
     def remove_thread(self, thread: Thread) -> None:
@@ -314,9 +280,10 @@ class Cluster:
         remote code words and nothing happened this cycle.
 
         The fetch returns the bundle's compiled node (see
-        :func:`share_bundle`), so
-        issue is a call per live slot — int, fp, then mem, the memory
-        access last — with no opcode dispatch left to do."""
+        :func:`share_bundle`), so issue is one call of the node's
+        function, which checks, acts and writes every register itself
+        (a blocking load blocks the thread there too); what is left
+        here is the IP."""
         chip = self.chip
         try:
             node = chip.fetch(thread.ip)
@@ -328,7 +295,7 @@ class Cluster:
         except Exception as cause:  # decode/translation failure at fetch
             self._fault(thread, cause, "fetch", now)
             return True
-        bundle, int_fn, fp_fn, mem_fn, next_ip, live_ops, _ = node
+        bundle, issue, next_ip, live_ops, _ = node
 
         obs = chip.obs
         if obs.hot:
@@ -337,65 +304,32 @@ class Cluster:
                      text=disassemble_bundle(bundle))
 
         regs = thread.regs
-        commits: list[tuple[str, int, object]] = []
-        target = None
-        block_until = None
-        pending = ()
         try:
-            if int_fn is not None:
-                target = int_fn(thread, regs, commits, now)
-            if fp_fn is not None:
-                fp_fn(thread, regs, commits, now)
-            if mem_fn is not None:
-                block_until, pending = mem_fn(thread, regs, commits, now)
+            target = issue(thread, regs._regs, regs._fregs, now)
         except GuardedPointerFault as cause:
             self._fault(thread, cause, self._fault_site(bundle, cause), now)
             return True
 
-        # Commit phase: nothing above faulted.
-        if commits:
-            regs.commit(commits)
-
         stats = thread.stats
         stats.bundles += 1
         stats.operations += live_ops
-
-        if target is _Halt:
-            # a halting bundle still commits everything it did — a
-            # blocking load sharing the bundle with HALT must land its
-            # register write before the thread's state goes final
-            regs.commit(pending)
-            thread.state = ThreadState.HALTED
-            thread.halted_at = now
-            if obs.enabled:
-                obs.emit("thread.halt", now, cluster=self.cluster_id,
-                         tid=thread.tid, bundles=stats.bundles)
-            return True
-
-        if target is not None:
-            thread.ip = target
-        elif next_ip is not None:
-            thread.ip = next_ip
-        else:
+        if target is None:
+            if next_ip is not None:
+                thread.ip = next_ip
+                return True
             try:
                 thread.ip = _lea(chip, thread.ip.word, BUNDLE_BYTES)
             except GuardedPointerFault as cause:
                 # running off the end of the code segment
                 self._fault(thread, cause, "ip-advance", now)
-                return True
-
-        if block_until == REMOTE_WAIT:
-            # remote load: the true reply cycle is computed at the next
-            # window barrier, which rewrites wake_at and charges the
-            # stall; the register write arrives the same way
-            thread.pending_writes.extend(pending)
-            thread.block_until(REMOTE_WAIT)
-        elif block_until is not None and block_until > now + 1:
-            thread.pending_writes.extend(pending)
-            stats.stall_cycles += block_until - (now + 1)
-            thread.block_until(block_until)
-        elif pending:
-            regs.commit(pending)
+        elif target is _Halt:
+            thread.state = ThreadState.HALTED
+            thread.halted_at = now
+            if obs.enabled:
+                obs.emit("thread.halt", now, cluster=self.cluster_id,
+                         tid=thread.tid, bundles=stats.bundles)
+        else:
+            thread.ip = target
         return True
 
     # -- superblock execution ------------------------------------------------
@@ -412,19 +346,20 @@ class Cluster:
         the decoded-bundle cache, and cycle/issue/idle accounting is
         settled in bulk at exit: this cluster's and the thread's here,
         the chip's totals and the other clusters' by the chip.  Each
-        bundle runs the same compiled node closures
-        :meth:`_execute_bundle` runs — execution units, guarded-pointer
-        checks, cache timing, the check memos, histograms, fault
-        dispatch — so cycle counts, counters and trace events are
-        bit-identical to stepping the same cycles one by one.  Any bundle the cache cannot answer (not
-        decoded yet, self-modified, reached through a pointer word that
-        has not passed the fetch checks, HALT/TRAP) exits the superblock
-        and the normal path handles it.
+        bundle runs the same issue function :meth:`_execute_bundle`
+        runs — execution units, guarded-pointer checks, cache timing,
+        the check memos, histograms, a blocking load's stall — so cycle
+        counts, counters and trace events are bit-identical to stepping
+        the same cycles one by one.  Any bundle the cache cannot answer
+        (not decoded yet, self-modified, reached through a pointer word
+        that has not passed the fetch checks, HALT/TRAP) exits the
+        superblock and the normal path handles it, and so does a
+        blocking load, which leaves the thread blocked.
         """
         chip = self.chip
         cache = chip._decode_cache
         regs = thread.regs
-        commits: list[tuple[str, int, object]] = []
+        r, f = regs._regs, regs._fregs
         bundles = 0   # committed bundles (a faulting one commits nothing)
         operations = 0
         now = start
@@ -439,20 +374,11 @@ class Cluster:
                 # decoded through other pointer words only: this one
                 # has not passed the fetch checks
                 break
-            bundle, int_fn, fp_fn, mem_fn, next_ip, live, ends = node
+            bundle, issue, next_ip, live, ends = node
             if ends:
                 break
-            commits.clear()
-            branch_target = None
-            block_until = None
-            pending = None
             try:
-                if int_fn is not None:
-                    branch_target = int_fn(thread, regs, commits, now)
-                if fp_fn is not None:
-                    fp_fn(thread, regs, commits, now)
-                if mem_fn is not None:
-                    block_until, pending = mem_fn(thread, regs, commits, now)
+                target = issue(thread, r, f, now)
             except GuardedPointerFault as cause:
                 # the faulting cycle still elapses and the bundle still
                 # issues (fetch hit, then the unit faulted) — but it
@@ -462,12 +388,10 @@ class Cluster:
                             self._fault_site(bundle, cause), now)
                 now += 1
                 break
-            if commits:
-                regs.commit(commits)
             bundles += 1
             operations += live
-            if branch_target is not None:
-                thread.ip = ip = branch_target
+            if target is not None:
+                thread.ip = ip = target
             elif next_ip is not None:
                 thread.ip = ip = next_ip
             else:
@@ -480,16 +404,9 @@ class Cluster:
                     self._fault(thread, cause, "ip-advance", now)
                 now += 1
                 break
-            if block_until is not None and block_until > now + 1:
-                thread.pending_writes.extend(pending)
-                thread.stats.stall_cycles += block_until - (now + 1)
-                thread.block_until(block_until)
-                now += 1
-                break
-            if pending:
-                regs.commit(pending)
             now += 1
-            if now >= end:
+            # a blocking load has left the cluster no ready thread
+            if now >= end or not self._n_ready:
                 break
         cycles = now - start
         if cycles:
@@ -528,24 +445,24 @@ class Cluster:
         self.chip.report_fault(record, thread)
 
 
-# -- compiled bundles: one definition per opcode ---------------------------
+# -- compiled bundles: one template fragment per opcode ---------------------
 
 
 #: A bundle node: one decoded bundle compiled for issue through one
 #: pointer word.  The decoded-bundle cache maps each fetch address to
 #: its nodes by pointer word (:meth:`MAPChip.fetch`), and the per-cycle
-#: path and superblock traces both execute them (PERF.md §6).  Nodes
-#: are plain tuples because both executors unpack one every cycle, and
-#: CPython unpacks an exact tuple fastest (a NamedTuple subclass
-#: measured ~7% slower on an ALU trace).  The fields, in order:
+#: path and superblock traces both execute them (PERF.md §6, §10).
+#: Nodes are plain tuples because both executors unpack one every
+#: cycle, and CPython unpacks an exact tuple fastest (a NamedTuple
+#: subclass measured ~7% slower on an ALU trace).  The fields, in
+#: order:
 #:
 #: * ``bundle`` — the decoded :class:`~repro.machine.isa.Bundle`;
-#: * ``int_fn``, ``fp_fn``, ``mem_fn`` — one closure per live slot,
-#:   ``fn(thread, regs, commits, now)``, or ``None`` for a NOP slot (a
-#:   filler has no effect, so skipping the call is behaviorally
-#:   identical).  The integer closure returns a branch target, the
-#:   ``_Halt`` sentinel or None; the memory closure returns
-#:   ``(block_until, pending_writes)``;
+#: * ``issue`` — the bundle's issue function, ``issue(thread, r, f,
+#:   now)`` over the thread's integer and FP register lists, generated
+#:   from its three ops' fragments (``_FRAGMENTS``).  It returns the
+#:   branch target, the ``_Halt`` sentinel, or None for the
+#:   fall-through;
 #: * ``next_ip`` — the memoized fall-through IP, or None when it leaves
 #:   the code segment (the executors then re-derive it live, which
 #:   faults);
@@ -553,319 +470,397 @@ class Cluster:
 #: * ``ends_trace`` — HALT or TRAP: final thread state and trap dispatch
 #:   belong to the per-cycle path, so superblock traces stop in front.
 #:
-#: Only ``next_ip`` and a branch's closure depend on the fetch pointer.
-#: Every other closure captures op fields and objects that live as long
-#: as the chip, so one compile serves every node of the same bundle
-#: content: :func:`share_bundle` builds those once (the chip keeps them
-#: in its content memo) and :func:`bind_bundle` completes a node per
+#: Only ``next_ip`` and the issue function of a branch, or of a load
+#: whose fall-through leaves the code segment, depend on the fetch
+#: pointer.  Every other issue function captures op fields and objects
+#: that live as long as the chip, so one serves every node of the same
+#: bundle content: :func:`share_bundle` builds it once (the chip keeps
+#: it in its content memo) and :func:`bind_bundle` completes a node per
 #: pointer word.  A node refers to nothing that refers back to it, so
 #: one dropped from the cache is freed at once, its pointer-bound parts
 #: with it.
 NODE_BUNDLE = 0
-NODE_INT_FN = 1
-NODE_MEM_FN = 3
+NODE_ISSUE = 1
+NODE_NEXT_IP = 2
 
-#: the integer ops whose closures capture a target derived from the
-#: fetch pointer
+#: the integer ops whose issue functions capture a target derived from
+#: the fetch pointer
 _BRANCHES = frozenset({Opcode.BR, Opcode.BEQ, Opcode.BNE})
+#: the integer ops that can leave a bundle by a target, not the
+#: fall-through (the fragment sets ``target``)
+_LEAVES = _BRANCHES | {Opcode.JMP, Opcode.HALT}
+#: the memory ops whose register write waits for the access
+_LOADS = frozenset({Opcode.LD, Opcode.LDF})
 
 
 def share_bundle(chip: "MAPChip", bundle: Bundle) -> tuple:
     """The part of ``bundle``'s node (the layout above) that no fetch
     pointer changes: a node without ``next_ip`` and, for a branch,
-    without ``int_fn``.  :func:`bind_bundle` completes it for one
+    without ``issue``.  :func:`bind_bundle` completes it for one
     pointer word.
 
     The trace-cache idiom: everything that is a pure function of the
-    encoding and the fetch pointer — which unit an op needs, ALU
+    encoding and the fetch pointer — which fragments run, ALU
     immediates, MOVI's word, branch targets, the fall-through IP —
     resolves once, here and in :func:`bind_bundle`, so issuing the
     bundle spends no cycles re-deciding what each op *is*."""
-    op = bundle.int_op
-    code = op.opcode
-    return (bundle, None if code in _BRANCHES else _compile_int(chip, op),
-            _compile_fp(bundle.fp_op), _compile_mem(chip, bundle.mem_op),
+    code = bundle.int_op.opcode
+    return (bundle, None if code in _BRANCHES else _issue(chip, bundle),
             None, bundle.live_ops, code is Opcode.HALT or code is Opcode.TRAP)
 
 
 def bind_bundle(chip: "MAPChip", shared: tuple, ip: GuardedPointer) -> tuple:
-    """The node of the bundle fetched through ``ip``, reusing the
-    closures of ``shared``: a :func:`share_bundle` result, or a node of
-    the same content bound to another pointer word.  Only the
-    fall-through IP and a branch's closure are made here.
+    """The node of the bundle fetched through ``ip``, reusing the issue
+    function of ``shared``: a :func:`share_bundle` result, or the node
+    of the same content bound to another pointer word whose
+    fall-through stays in the segment.  Only the fall-through IP and
+    the issue function of a branch, or of a load whose fall-through
+    leaves the segment, are made here.
 
     Pre-deriving pointers is invisible: LEA is pure (the same
     derivation the executors would make, through the same memo), and a
     derivation that faults is re-made live, so the fault raises only
     where stepping would raise it."""
-    bundle, int_fn, fp_fn, mem_fn, _, live_ops, ends_trace = shared
+    bundle, issue, _, live_ops, ends_trace = shared
     try:
         next_ip = _lea(chip, ip.word, BUNDLE_BYTES)
     except GuardedPointerFault:
         next_ip = None
     op = bundle.int_op
     if op.opcode in _BRANCHES:
-        int_fn = _compile_branch(chip, op, ip)
-    return (bundle, int_fn, fp_fn, mem_fn, next_ip, live_ops, ends_trace)
-
-
-def _unit(unit, chip: "MAPChip", op: Operation):
-    """The closure of a rare op: call its unit on every issue."""
-    def call_unit(thread, regs, commits, now):
-        return unit(chip, thread, op, commits, now)
-    return call_unit
-
-
-def _compile_int(chip: "MAPChip", op: Operation):
-    """The integer-slot closure of any op but a branch
-    (:func:`_compile_branch`).  ALU ops, MOVI, MOV, HALT, TRAP and JMP
-    are defined here; ISPTR and GETIP call :func:`_int_unit`."""
-    code = op.opcode
-    rd, ra, rb, imm = op.rd, op.ra, op.rb, op.imm
-    if code is Opcode.NOP:
-        return None
-    # ALU results are built the way the frozen dataclass's own __init__
-    # does (object.__setattr__), skipping three Python calls per op;
-    # reading ``.value`` ignores the tag, exactly as ``.untagged()``
-    new = TaggedWord.__new__
-    setattr_ = object.__setattr__
-    if code in _INT_ALU_IMM:
-        fn = _INT_ALU[_INT_ALU_IMM[code]]
-        b = imm & _WORD_MASK
-
-        def alu_imm(thread, regs, commits, now):
-            word = new(TaggedWord)
-            setattr_(word, "value", fn(regs.read(ra).value, b) & _WORD_MASK)
-            setattr_(word, "tag", False)
-            commits.append(("r", rd, word))
-        return alu_imm
-    if code in _INT_ALU:
-        fn = _INT_ALU[code]
-
-        def alu(thread, regs, commits, now):
-            word = new(TaggedWord)
-            setattr_(word, "value",
-                     fn(regs.read(ra).value, regs.read(rb).value)
-                     & _WORD_MASK)
-            setattr_(word, "tag", False)
-            commits.append(("r", rd, word))
-        return alu
-    if code is Opcode.MOVI:
-        write = ("r", rd, TaggedWord.integer(imm))
-
-        def movi(thread, regs, commits, now):
-            commits.append(write)
-        return movi
-    if code is Opcode.MOV:
-        def mov(thread, regs, commits, now):
-            # MOV preserves the tag: copying a pointer yields the pointer
-            commits.append(("r", rd, regs.read(ra)))
-        return mov
-    if code is Opcode.HALT:
-        def halt(thread, regs, commits, now):
-            return _Halt
-        return halt
-    if code is Opcode.TRAP:
-        def trap(thread, regs, commits, now):
-            raise TrapFault(imm)
-        return trap
-    if code is Opcode.JMP:
-        check_jump = ops.check_jump
-        obs = chip.obs
-
-        def jmp(thread, regs, commits, now):
-            target_word = regs.read(ra)
-            new_ip = check_jump(target_word)
-            auditor = chip.jump_auditor
-            if auditor is not None:
-                auditor(thread, GuardedPointer.from_word(target_word),
-                        new_ip, now)
-            if obs.enabled:
-                obs.note_jump(thread, target_word, new_ip, now,
-                              thread.scheduler.cluster_id)
-            return new_ip
-        return jmp
-    return _unit(_int_unit, chip, op)
-
-
-def _compile_branch(chip: "MAPChip", op: Operation, ip: GuardedPointer):
-    """The closure of BR, BEQ or BNE fetched through ``ip``: the target
-    is derived from the fetch pointer, once."""
-    code = op.opcode
-    rd, imm = op.rd, op.imm
-    try:
-        target = _lea(chip, ip.word, imm)
-    except GuardedPointerFault:
-        # the target leaves the segment: derive it live, so the fault
-        # raises only when the branch is taken
-        target = None
-    if code is Opcode.BR:
-        def br(thread, regs, commits, now):
-            if target is None:
-                return _lea(chip, thread.ip.word, imm)
-            return target
-        return br
-    want_zero = code is Opcode.BEQ
-
-    def branch(thread, regs, commits, now):
-        if (regs.read(rd).value == 0) is not want_zero:
-            return None
-        if target is None:
-            return _lea(chip, thread.ip.word, imm)
-        return target
-    return branch
-
-
-def _compile_fp(op: Operation):
-    """The floating-point-slot closure: the FP ALU is defined here; the
-    moves and casts call :func:`_fp_unit`."""
-    code = op.opcode
-    if code is Opcode.FNOP or code is Opcode.NOP:
-        return None
-    if code in _FP_ALU:
-        fn = _FP_ALU[code]
-        rd, ra, rb = op.rd, op.ra, op.rb
-
-        def fp_alu(thread, regs, commits, now):
-            commits.append(("f", rd, fn(regs.read_f(ra), regs.read_f(rb))))
-        return fp_alu
-    return _unit(_fp_unit, None, op)
-
-
-#: a memory op that neither blocks nor defers a register write
-_NO_BLOCK = (None, ())
-
-
-def _compile_mem(chip: "MAPChip", op: Operation):
-    """The memory-slot closure: the checked loads and stores are defined
-    here; pointer manipulation calls :func:`_mem_unit`.
-
-    Loads and stores keep the exact per-execution path — the
-    access-check memo, the banked cache's timing, the load-to-use
-    histogram, the store's decoded-bundle invalidation.  Off a mesh
-    they bind the local cache port directly, which is everything
-    :meth:`MAPChip.access_memory` does without a router; on a mesh
-    they go through ``access_memory`` for routing, remote waits and the
-    remote-code mirror.  A closure compiled off a mesh never runs on
-    one: attaching a router drops every decoded bundle and empties the
-    content memo.  The port is called positionally: CPython 3.11 does
-    not specialize a keyword call into a Python function.
-    """
-    code = op.opcode
-    if code is Opcode.NOP or code is Opcode.FNOP:
-        return None
-    ra, rd, imm = op.ra, op.rd, op.imm
-    meshed = chip.router is not None
-    if code is Opcode.LD or code is Opcode.LDF:
-        access = chip.access_memory if meshed else chip.cache.access
-        obs = chip.obs
-        load_to_use = obs.load_to_use.add
-        to_float = code is Opcode.LDF
-        bank = "f" if to_float else "r"
-
-        def load(thread, regs, commits, now):
-            vaddr = _mem_address(chip, regs.read(ra), imm, False)
-            # the port's (word, ready_cycle, hit, bank) tuple, read by
-            # index: CPython indexes a tuple subclass faster than it
-            # unpacks or reads fields of one
-            result = access(vaddr, False, now)
-            ready = result[1]
-            if ready == REMOTE_WAIT:
-                # remote load: the window barrier resolves the value
-                # and the true latency (the histogram is charged then)
-                chip.router.bind_remote_load(chip, thread.tid, bank, rd)
-                return REMOTE_WAIT, ()
-            if obs.enabled:
-                load_to_use(ready - now)
-            if to_float:
-                return ready, (("f", rd, word_to_float(result[0])),)
-            return ready, (("r", rd, result[0]),)
-        return load
-    if code is Opcode.ST or code is Opcode.STF:
-        access = chip.access_memory if meshed else chip.cache.access
-        invalidate = None if meshed else chip.invalidate_decoded_word
-        from_float = code is Opcode.STF
-
-        def store(thread, regs, commits, now):
-            vaddr = _mem_address(chip, regs.read(ra), imm, True)
-            if from_float:
-                value = float_to_word(regs.read_f(rd))
-            else:
-                value = regs.read(rd)
-            if invalidate is not None:
-                invalidate(vaddr)
-            access(vaddr, True, now, value)
-            return _NO_BLOCK  # stores are buffered; the thread proceeds
-        return store
-    return _unit(_mem_unit, chip, op)
-
-
-# -- the rare-op units -----------------------------------------------------
-
-
-def _int_unit(chip: "MAPChip", thread: Thread, op: Operation,
-              commits: list, now: int):
-    """ISPTR and GETIP."""
-    code = op.opcode
-    regs = thread.regs
-    if code is Opcode.ISPTR:
-        commits.append(("r", op.rd, ops.ispointer(regs.read(op.ra))))
-        return None
-    if code is Opcode.GETIP:
-        commits.append(("r", op.rd, _lea(chip, thread.ip.word, op.imm).word))
-        return None
-    raise AssertionError(f"unhandled integer op {code.name}")
-
-
-def _fp_unit(chip, thread: Thread, op: Operation, commits: list,
-             now: int) -> None:
-    """FMOV and the casts."""
-    code = op.opcode
-    regs = thread.regs
-    if code is Opcode.FMOV:
-        commits.append(("f", op.rd, regs.read_f(op.ra)))
-        return
-    if code is Opcode.ITOF:
-        commits.append(("f", op.rd, float(regs.read(op.ra).as_signed())))
-        return
-    if code is Opcode.FTOI:
-        commits.append(("r", op.rd,
-                        TaggedWord.integer(saturating_ftoi(regs.read_f(op.ra)))))
-        return
-    raise AssertionError(f"unhandled fp op {code.name}")
-
-
-def _mem_unit(chip: "MAPChip", thread: Thread, op: Operation,
-              commits: list, now: int):
-    """The pointer-manipulation ops; none of them blocks."""
-    code = op.opcode
-    regs = thread.regs
-    if code is Opcode.LEA:
-        commits.append(("r", op.rd, _lea(chip, regs.read(op.ra), op.imm).word))
-    elif code is Opcode.LEAR:
-        offset = to_s64(regs.read(op.rb).untagged().value)
-        commits.append(("r", op.rd, _lea(chip, regs.read(op.ra), offset).word))
-    elif code is Opcode.LEAB:
-        commits.append(("r", op.rd, ops.leab(regs.read(op.ra), op.imm).word))
-    elif code is Opcode.LEABR:
-        offset = to_s64(regs.read(op.rb).untagged().value)
-        commits.append(("r", op.rd, ops.leab(regs.read(op.ra), offset).word))
-    elif code is Opcode.SETPTR:
-        forged = ops.setptr(regs.read(op.ra), privileged=thread.privileged)
-        commits.append(("r", op.rd, forged.word))
-    elif code is Opcode.RESTRICT:
-        perm_code = regs.read(op.rb).untagged().value
         try:
-            perm = Permission(perm_code)
-        except ValueError:
-            raise RestrictFault(f"not a permission code: {perm_code}") from None
-        commits.append(("r", op.rd, ops.restrict(regs.read(op.ra), perm).word))
-    elif code is Opcode.SUBSEG:
-        length = regs.read(op.rb).untagged().value
-        commits.append(("r", op.rd, ops.subseg(regs.read(op.ra), length).word))
+            target = _lea(chip, ip.word, op.imm)
+        except GuardedPointerFault:
+            # the target leaves the segment: derive it live, so the
+            # fault raises only when the branch is taken
+            target = None
+        issue = _issue(chip, bundle, target, next_ip is None)
+    elif next_ip is None and bundle.mem_op.opcode in _LOADS:
+        issue = _issue(chip, bundle, None, True)
+    return (bundle, issue, next_ip, live_ops, ends_trace)
+
+
+#: (int, mem, fp opcode, tail) -> the factory of that triple's issue
+#: functions.  The generated code depends on the key alone, so each
+#: factory is compiled once per process, on first use
+_FACTORIES: dict[tuple[Opcode, Opcode, Opcode, bool], object] = {}
+
+#: a factory's parameters: the chip's objects, then the ops' fields
+#: (``i_k``: an ALU immediate's 64-bit operand, MOVI's word, or a
+#: branch's target, None when it is derived live)
+_PARAMS = ("chip, access, load_get, store_get, invalidate, obs, "
+           "load_to_use, i_rd, i_ra, i_rb, i_imm, i_k, "
+           "m_rd, m_ra, m_rb, m_imm, p_rd, p_ra, p_rb")
+
+#: no access-check memo (``fast_paths=False``): every probe misses, and
+#: :func:`_mem_address` checks unmemoized
+_NO_MEMO = MappingProxyType({})
+
+
+def _issue(chip: "MAPChip", bundle: Bundle, target: GuardedPointer | None
+           = None, tail: bool = False):
+    """``bundle``'s issue function on ``chip``: its triple's factory
+    called with the ops' fields and the chip's objects.  ``target`` is
+    a branch's target; ``tail``, that the fetch pointer's fall-through
+    leaves the code segment.
+
+    Off a mesh, loads and stores bind the local cache port directly,
+    which is everything :meth:`MAPChip.access_memory` does without a
+    router; on a mesh they go through ``access_memory`` for routing,
+    remote waits and the remote-code mirror, and that port drops the
+    decoded bundles a store overlaps.  A function built off a mesh
+    never runs on one: attaching a router drops every decoded bundle
+    and empties the content memo.  The port is called positionally:
+    CPython 3.11 does not specialize a keyword call into a Python
+    function."""
+    i, m, p = bundle.int_op, bundle.mem_op, bundle.fp_op
+    code = i.opcode
+    key = (code, m.opcode, p.opcode,
+           tail and m.opcode in _LOADS and code is not Opcode.HALT)
+    factory = _FACTORIES.get(key)
+    if factory is None:
+        factory = _FACTORIES[key] = _compile_factory(*key)
+    if code in _BRANCHES:
+        k = target
+    elif code is Opcode.MOVI:
+        k = TaggedWord.integer(i.imm)
     else:
-        raise AssertionError(f"unhandled memory op {code.name}")
-    return _NO_BLOCK
+        k = i.imm & _WORD_MASK
+    meshed = chip.router is not None
+    load_memo = chip._load_check_memo
+    store_memo = chip._store_check_memo
+    obs = chip.obs
+    return factory(
+        chip, chip.access_memory if meshed else chip.cache.access,
+        (_NO_MEMO if load_memo is None else load_memo).get,
+        (_NO_MEMO if store_memo is None else store_memo).get,
+        None if meshed else chip.invalidate_decoded_word,
+        obs, obs.load_to_use.add,
+        i.rd, i.ra, i.rb, i.imm, k, m.rd, m.ra, m.rb, m.imm,
+        p.rd, p.ra, p.rb)
+
+
+def _compile_factory(int_code: Opcode, mem_code: Opcode, fp_code: Opcode,
+                     tail: bool):
+    """Generate and compile the factory of one opcode triple.
+
+    The issue function runs the three fragments' "read, check and act"
+    parts in the order int, fp, mem — so the memory access, the only
+    side effect beyond registers, comes last — and only then, with
+    nothing left that can fault, their "write" parts.  A faulting
+    bundle therefore writes no register, and every op reads the
+    registers as the bundle found them (LIW read-before-write).
+
+    The code is compiled under this file's name, so profiles and the
+    per-layer counts charge it to this module, and its line numbers
+    point at the fragment each line came from.  Every triple's factory
+    and function has its own name (``make_issue_add_ld_fnop``,
+    ``issue_add_ld_fnop``): profilers key functions by file, line and
+    name."""
+    codes = (int_code, mem_code, fp_code)
+    name = ("issue_" + "_".join(code.name.lower() for code in codes)
+            + ("_tail" if tail else ""))
+    lines = [(_TABLE_LINE, f"def make_{name}({_PARAMS}):"),
+             (_TABLE_LINE, f"    def {name}(thread, r, f, now):")]
+    slots = (("i", int_code), ("p", fp_code), ("m", mem_code))
+    for slot, code in slots:
+        line, act, _, _ = _FRAGMENTS[code]
+        lines += [(line, "        " + text)
+                  for text in act.format_map(_NAMES[slot]).splitlines()]
+    leaves = int_code in _LEAVES
+    for slot, code in slots:
+        line, _, write, at_halt = _FRAGMENTS[code]
+        if int_code is Opcode.HALT:
+            write = at_halt
+        elif tail and slot == "m":
+            # the fall-through faults after the other writes, and the
+            # load's write is dropped with it: it lands only when the
+            # bundle leaves by a target
+            write = ("if target is not None:\n" + "\n".join(
+                "    " + text for text in write.splitlines())
+                if leaves else "")
+        lines += [(line, "        " + text)
+                  for text in write.format_map(_NAMES[slot]).splitlines()]
+    lines += [(_TABLE_LINE, "        return target" if leaves
+               else "        return None"),
+              (_TABLE_LINE, f"    return {name}")]
+    tree = ast.parse("\n".join(text for _, text in lines))
+    for node in ast.walk(tree):
+        if hasattr(node, "lineno"):
+            node.lineno = lines[node.lineno - 1][0]
+            node.end_lineno = lines[node.end_lineno - 1][0]
+    namespace: dict = {}
+    exec(compile(tree, __file__, "exec"), globals(), namespace)
+    return namespace[f"make_{name}"]
+
+
+#: each slot's names for a fragment's ``{rd}``, ``{ra}``, ``{rb}``,
+#: ``{imm}``, ``{k}`` (the factory's parameters) and ``{v}`` (the op's
+#: result, a local of the issue function)
+_NAMES = {slot: {field: f"{slot}_{field}"
+                 for field in ("rd", "ra", "rb", "imm", "k", "v")}
+          for slot in "imp"}
+
+# what the generated code calls by these names: an untagged word is
+# built as the frozen dataclass's ``__init__`` would build it, without
+# its Python frames, through the slots' own descriptors
+_new = object.__new__
+_set_value = TaggedWord.value.__set__
+_set_tag = TaggedWord.tag.__set__
+_SIGN = 1 << 63
+
+
+def _fragment(act: str = "", write: str = "",
+              at_halt: str | None = None) -> tuple[int, str, str, str]:
+    """One opcode's fragment: the line of this file it is written on,
+    its "read, check and act" source, its "write" source, and its write
+    in a bundle that halts (``at_halt``, a load's; otherwise the same
+    write)."""
+    return (sys._getframe(1).f_lineno, act, write,
+            write if at_halt is None else at_halt)
+
+
+def _alu(value: str) -> tuple[str, str]:
+    """An integer ALU op's act and write: ``value``, over the operand
+    words' bits (the tag is ignored) and already within 64 bits, as an
+    untagged word."""
+    return ("{v} = _new(TaggedWord)\n"
+            "_set_value({v}, " + value + ")\n"
+            "_set_tag({v}, False)", "r[{rd}] = {v}")
+
+
+def _checked_address(write: bool) -> str:
+    """A load's or store's checked address, in ``vaddr``: a tagged
+    word's probe of the access-check memo, else :func:`_mem_address`."""
+    memo, flag = ("store_get", "True") if write else ("load_get", "False")
+    return ("{v} = r[{ra}]\n"
+            "vaddr = " + memo + "(({v}.value, {imm})) if {v}.tag else None\n"
+            "if vaddr is None:\n"
+            "    vaddr = _mem_address(chip, {v}, {imm}, " + flag + ")\n"
+            "else:\n"
+            "    chip.check_memo_hits += 1\n")
+
+
+def _load(bank: str) -> tuple[str, str, str]:
+    """LD's (``bank`` "r") or LDF's ("f") act, write and write in a
+    halting bundle.  The port returns ``(word, ready_cycle, hit,
+    bank)``, read by index.  A remote load binds its register at the
+    next window barrier, which resolves the value and the latency, and
+    the histogram is charged then; a load that is not ready next cycle
+    defers its write and blocks the thread for the stall; in a halting
+    bundle a load's write lands at once."""
+    value = "loaded[0]" if bank == "r" else "word_to_float(loaded[0])"
+    act = (_checked_address(False)
+           + "loaded = access(vaddr, False, now)\n"
+           "ready = loaded[1]\n"
+           "if ready == REMOTE_WAIT:\n"
+           "    chip.router.bind_remote_load(chip, thread.tid, '" + bank
+           + "', {rd})\n"
+           "elif obs.enabled:\n"
+           "    load_to_use(ready - now)")
+    write = ("if ready > now + 1:\n"
+             "    if ready != REMOTE_WAIT:\n"
+             "        thread.pending_writes.append(('" + bank + "', {rd}, "
+             + value + "))\n"
+             "        thread.stats.stall_cycles += ready - now - 1\n"
+             "    thread.block_until(ready)\n"
+             "else:\n"
+             "    " + bank + "[{rd}] = " + value)
+    at_halt = ("if ready != REMOTE_WAIT:\n"
+               "    " + bank + "[{rd}] = " + value)
+    return act, write, at_halt
+
+
+def _store(value: str) -> tuple[str, str]:
+    """ST's or STF's act (a store writes no register): the checked
+    address, the decoded-bundle invalidation off a mesh, then the
+    buffered store of ``value``; the thread proceeds."""
+    return (_checked_address(True)
+            + "if invalidate is not None:\n"
+            "    invalidate(vaddr)\n"
+            "access(vaddr, True, now, " + value + ")", "")
+
+
+#: One fragment per opcode.  In the source, ``r`` and ``f`` are the
+#: thread's integer and FP register lists, ``target`` the integer op's
+#: way out of the bundle, the braced names the slot's own (see
+#: ``_NAMES``), and every other name a global of this module (some
+#: imports above are used only here).  A fragment's act may read
+#: registers, check, fault and act on the machine; its write cannot
+#: fault: it stores results, or a load defers its write and blocks the
+#: thread.
+_FRAGMENTS = {
+    Opcode.NOP: _fragment(),
+    Opcode.ADD: _fragment(*_alu(
+        "(r[{ra}].value + r[{rb}].value) & _WORD_MASK")),
+    Opcode.SUB: _fragment(*_alu(
+        "(r[{ra}].value - r[{rb}].value) & _WORD_MASK")),
+    Opcode.MUL: _fragment(*_alu(
+        "(r[{ra}].value * r[{rb}].value) & _WORD_MASK")),
+    Opcode.AND: _fragment(*_alu("r[{ra}].value & r[{rb}].value")),
+    Opcode.OR: _fragment(*_alu("r[{ra}].value | r[{rb}].value")),
+    Opcode.XOR: _fragment(*_alu("r[{ra}].value ^ r[{rb}].value")),
+    Opcode.SHL: _fragment(*_alu(
+        "(r[{ra}].value << (r[{rb}].value & 63)) & _WORD_MASK")),
+    Opcode.SHR: _fragment(*_alu("r[{ra}].value >> (r[{rb}].value & 63)")),
+    Opcode.SLT: _fragment(*_alu(
+        "1 if (r[{ra}].value ^ _SIGN) < (r[{rb}].value ^ _SIGN) else 0")),
+    Opcode.SEQ: _fragment(*_alu("1 if r[{ra}].value == r[{rb}].value else 0")),
+    Opcode.ADDI: _fragment(*_alu("(r[{ra}].value + {k}) & _WORD_MASK")),
+    Opcode.SUBI: _fragment(*_alu("(r[{ra}].value - {k}) & _WORD_MASK")),
+    Opcode.ANDI: _fragment(*_alu("r[{ra}].value & {k}")),
+    Opcode.ORI: _fragment(*_alu("r[{ra}].value | {k}")),
+    Opcode.XORI: _fragment(*_alu("r[{ra}].value ^ {k}")),
+    Opcode.SHLI: _fragment(*_alu(
+        "(r[{ra}].value << ({k} & 63)) & _WORD_MASK")),
+    Opcode.SHRI: _fragment(*_alu("r[{ra}].value >> ({k} & 63)")),
+    Opcode.SLTI: _fragment(*_alu(
+        "1 if (r[{ra}].value ^ _SIGN) < ({k} ^ _SIGN) else 0")),
+    Opcode.SEQI: _fragment(*_alu("1 if r[{ra}].value == {k} else 0")),
+    Opcode.MOVI: _fragment("", "r[{rd}] = {k}"),
+    # MOV preserves the tag: copying a pointer yields the pointer
+    Opcode.MOV: _fragment("{v} = r[{ra}]", "r[{rd}] = {v}"),
+    Opcode.ISPTR: _fragment("{v} = ops.ispointer(r[{ra}])", "r[{rd}] = {v}"),
+    Opcode.BR: _fragment(
+        "target = _lea(chip, thread.ip.word, {imm}) if {k} is None else {k}"),
+    Opcode.BEQ: _fragment(
+        "target = None\n"
+        "if r[{rd}].value == 0:\n"
+        "    target = (_lea(chip, thread.ip.word, {imm}) if {k} is None\n"
+        "              else {k})"),
+    Opcode.BNE: _fragment(
+        "target = None\n"
+        "if r[{rd}].value != 0:\n"
+        "    target = (_lea(chip, thread.ip.word, {imm}) if {k} is None\n"
+        "              else {k})"),
+    Opcode.JMP: _fragment(
+        "{v} = r[{ra}]\n"
+        "target = ops.check_jump({v})\n"
+        "if chip.jump_auditor is not None:\n"
+        "    chip.jump_auditor(thread, GuardedPointer.from_word({v}),\n"
+        "                      target, now)\n"
+        "if obs.enabled:\n"
+        "    obs.note_jump(thread, {v}, target, now,\n"
+        "                  thread.scheduler.cluster_id)"),
+    Opcode.GETIP: _fragment("{v} = _lea(chip, thread.ip.word, {imm}).word",
+                            "r[{rd}] = {v}"),
+    Opcode.HALT: _fragment("target = _Halt"),
+    Opcode.TRAP: _fragment("raise TrapFault({imm})"),
+    Opcode.LD: _fragment(*_load("r")),
+    Opcode.ST: _fragment(*_store("r[{rd}]")),
+    Opcode.LDF: _fragment(*_load("f")),
+    Opcode.STF: _fragment(*_store("float_to_word(f[{rd}])")),
+    Opcode.LEA: _fragment("{v} = _lea(chip, r[{ra}], {imm}).word",
+                          "r[{rd}] = {v}"),
+    Opcode.LEAR: _fragment(
+        "{v} = _lea(chip, r[{ra}], to_s64(r[{rb}].value)).word",
+        "r[{rd}] = {v}"),
+    Opcode.LEAB: _fragment("{v} = ops.leab(r[{ra}], {imm}).word",
+                           "r[{rd}] = {v}"),
+    Opcode.LEABR: _fragment(
+        "{v} = ops.leab(r[{ra}], to_s64(r[{rb}].value)).word",
+        "r[{rd}] = {v}"),
+    Opcode.SETPTR: _fragment(
+        "{v} = ops.setptr(r[{ra}], privileged=thread.privileged).word",
+        "r[{rd}] = {v}"),
+    Opcode.RESTRICT: _fragment(
+        "{v} = r[{rb}].value\n"
+        "try:\n"
+        "    {v} = Permission({v})\n"
+        "except ValueError:\n"
+        "    raise RestrictFault('not a permission code: %d' % {v}) \\\n"
+        "        from None\n"
+        "{v} = ops.restrict(r[{ra}], {v}).word",
+        "r[{rd}] = {v}"),
+    Opcode.SUBSEG: _fragment(
+        "{v} = ops.subseg(r[{ra}], r[{rb}].value).word", "r[{rd}] = {v}"),
+    Opcode.FNOP: _fragment(),
+    Opcode.FADD: _fragment("{v} = f[{ra}] + f[{rb}]", "f[{rd}] = {v}"),
+    Opcode.FSUB: _fragment("{v} = f[{ra}] - f[{rb}]", "f[{rd}] = {v}"),
+    Opcode.FMUL: _fragment("{v} = f[{ra}] * f[{rb}]", "f[{rd}] = {v}"),
+    # the FPU's division by ±0.0, which Python raises on: ±inf by the
+    # dividend's sign, NaN for a zero or NaN dividend
+    Opcode.FDIV: _fragment(
+        "{v} = f[{rb}]\n"
+        "if {v}:\n"
+        "    {v} = f[{ra}] / {v}\n"
+        "elif f[{ra}] > 0:\n"
+        "    {v} = math.inf\n"
+        "elif f[{ra}] < 0:\n"
+        "    {v} = -math.inf\n"
+        "else:\n"
+        "    {v} = math.nan", "f[{rd}] = {v}"),
+    Opcode.FMOV: _fragment("{v} = f[{ra}]", "f[{rd}] = {v}"),
+    Opcode.ITOF: _fragment("{v} = float(to_s64(r[{ra}].value))",
+                           "f[{rd}] = {v}"),
+    Opcode.FTOI: _fragment(
+        "{v} = TaggedWord.integer(saturating_ftoi(f[{ra}]))",
+        "r[{rd}] = {v}"),
+}
+
+#: where the generated factories and functions begin: the table's
+#: first fragment
+_TABLE_LINE = min(line for line, *_ in _FRAGMENTS.values())
 
 
 # -- the derivation memos --------------------------------------------------

@@ -15,6 +15,7 @@ programs through both.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.core import operations as ops
@@ -22,12 +23,58 @@ from repro.core.exceptions import GuardedPointerFault, PermissionFault, Restrict
 from repro.core.permissions import Permission
 from repro.core.pointer import GuardedPointer
 from repro.core.word import TaggedWord, to_s64
-from repro.machine.cluster import _FP_ALU, _INT_ALU, _INT_ALU_IMM
 from repro.machine.faults import TrapFault
 from repro.machine.isa import BUNDLE_BYTES, OP_BYTES, SLOTS, Bundle, Opcode, Operation
 from repro.machine.registers import (RegisterFile, float_to_word,
                                      saturating_ftoi, word_to_float)
 from repro.mem.tagged_memory import AlignmentFault
+
+
+# The oracle's own ALU: the chip writes the same semantics as source
+# fragments (``repro.machine.cluster._FRAGMENTS``), so a wrong operator
+# on either side is a divergence the differential tests can see.
+
+
+def _ieee_div(a: float, b: float) -> float:
+    try:
+        return a / b
+    except ZeroDivisionError:
+        if a == 0 or math.isnan(a):
+            return math.nan
+        return math.inf if (a > 0) == (b >= 0) else -math.inf
+
+
+_INT_ALU = {
+    Opcode.ADD: lambda a, b: a + b,
+    Opcode.SUB: lambda a, b: a - b,
+    Opcode.MUL: lambda a, b: a * b,
+    Opcode.AND: lambda a, b: a & b,
+    Opcode.OR: lambda a, b: a | b,
+    Opcode.XOR: lambda a, b: a ^ b,
+    Opcode.SHL: lambda a, b: a << (b & 63),
+    Opcode.SHR: lambda a, b: a >> (b & 63),
+    Opcode.SLT: lambda a, b: int(to_s64(a) < to_s64(b)),
+    Opcode.SEQ: lambda a, b: int(a == b),
+}
+
+_INT_ALU_IMM = {
+    Opcode.ADDI: Opcode.ADD,
+    Opcode.SUBI: Opcode.SUB,
+    Opcode.ANDI: Opcode.AND,
+    Opcode.ORI: Opcode.OR,
+    Opcode.XORI: Opcode.XOR,
+    Opcode.SHLI: Opcode.SHL,
+    Opcode.SHRI: Opcode.SHR,
+    Opcode.SLTI: Opcode.SLT,
+    Opcode.SEQI: Opcode.SEQ,
+}
+
+_FP_ALU = {
+    Opcode.FADD: lambda a, b: a + b,
+    Opcode.FSUB: lambda a, b: a - b,
+    Opcode.FMUL: lambda a, b: a * b,
+    Opcode.FDIV: _ieee_div,
+}
 
 
 @dataclass

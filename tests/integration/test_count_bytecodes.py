@@ -15,12 +15,15 @@ import io
 import json
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
+from repro.machine import cluster as cluster_module
 from repro.machine.chip import ChipConfig, MAPChip
 from repro.machine.cluster import Cluster
+from repro.machine.isa import OP_INFO, Opcode, Slot
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 TOOL = REPO_ROOT / "tools" / "count_bytecodes.py"
@@ -243,3 +246,34 @@ def test_extra_work_in_one_layer_moves_that_layer_alone(
              if n != base["layers"][key]}
     assert moved == {layer}
     assert patched["layers"][layer] > base["layers"][layer]
+
+
+def test_every_generated_issue_function_counts_as_cluster_exec(counter):
+    # each bundle issues through a function generated from its opcode
+    # triple's template: every factory and function the templates can
+    # produce is charged to cluster.exec, never to stdlib or
+    # unattributed, under a (file, first line, name) label of its own,
+    # the key that profiles merge rows by
+    slots = {slot: [op for op in Opcode if OP_INFO[op][0] is slot]
+             for slot in Slot}
+    labels = set()
+    for int_code in slots[Slot.INT]:
+        for mem_code in [Opcode.NOP, *slots[Slot.MEM]]:
+            for fp_code in slots[Slot.FP]:
+                for tail in (False, True):
+                    if tail and (mem_code not in cluster_module._LOADS
+                                 or int_code is Opcode.HALT):
+                        continue
+                    factory = cluster_module._compile_factory(
+                        int_code, mem_code, fp_code, tail)
+                    (issue,) = [const for const in factory.__code__.co_consts
+                                if isinstance(const, types.CodeType)]
+                    for code in (factory.__code__, issue):
+                        label = (code.co_filename, code.co_firstlineno,
+                                 code.co_name)
+                        assert counter.layer_of_code(code) == "cluster.exec"
+                        assert counter.layers.layer_of(*label) \
+                            == "cluster.exec"
+                        assert label not in labels
+                        labels.add(label)
+    assert len(labels) == 2 * (30 * 12 * 8 + 29 * 2 * 8)

@@ -20,7 +20,7 @@ from repro.core.pointer import GuardedPointer
 from repro.core.word import TaggedWord
 from repro.machine.assembler import assemble
 from repro.machine.chip import ChipConfig, MAPChip, RunReason
-from repro.machine.cluster import NODE_BUNDLE, NODE_INT_FN
+from repro.machine.cluster import NODE_BUNDLE, NODE_ISSUE, NODE_NEXT_IP
 from repro.machine.isa import BUNDLE_BYTES, OP_BYTES, Bundle, DecodeError, Opcode
 from repro.machine.multicomputer import Multicomputer
 from repro.machine.network import MeshShape
@@ -270,14 +270,15 @@ class TestInvalidation:
     def test_dropped_node_is_freed_without_the_collector(self, chip):
         # a node holds nothing that refers back to it, so invalidation
         # frees what belongs to its address — here each pointer word's
-        # branch closure — by reference counting alone (the closures
-        # shared by content stay in the content memo by design)
+        # branch issue function — by reference counting alone (the
+        # functions shared by content stay in the content memo by
+        # design)
         entry = load(chip, "top:\nbeq r2, top\nhalt")
         wide = GuardedPointer.make(entry.permission, entry.seglen + 1,
                                    entry.address)
         gc.disable()
         try:
-            branches = [weakref.ref(chip.fetch(ip)[NODE_INT_FN])
+            branches = [weakref.ref(chip.fetch(ip)[NODE_ISSUE])
                         for ip in (entry, wide)]
             assert all(ref() is not None for ref in branches)
             chip.invalidate_decoded_word(entry.address)
@@ -392,8 +393,9 @@ class TestContentMemo:
         assert len(decodes) == len(set(decodes)) == len(program.items)
 
     def test_tenant_copies_share_every_closure_but_branches(self):
-        # one closure object per non-branch slot serves every copy; a
-        # branch's closure and the fall-through IP belong to the address
+        # one issue function serves every copy of a non-branch bundle; a
+        # branch's issue function and the fall-through IP belong to the
+        # address
         kernel = Kernel(MAPChip(ChipConfig(memory_bytes=1024 * 1024)))
         program = assemble(COUNTER_LOOP)
         entries = [kernel.load_program(program) for _ in range(6)]
@@ -407,17 +409,17 @@ class TestContentMemo:
             for entry in entries:
                 (node,) = cache[entry.address + index * BUNDLE_BYTES].values()
                 copies.append(node)
-            bundle, int_fn, fp_fn, mem_fn = copies[0][:4]
-            assert all(node[0] is bundle for node in copies)
-            assert all(node[2] is fp_fn and node[3] is mem_fn
-                       for node in copies)
-            next_ips = [node[4] for node in copies if node[4] is not None]
+            bundle, issue = copies[0][NODE_BUNDLE], copies[0][NODE_ISSUE]
+            assert all(node[NODE_BUNDLE] is bundle for node in copies)
+            next_ips = [node[NODE_NEXT_IP] for node in copies
+                        if node[NODE_NEXT_IP] is not None]
             assert len({ip.address for ip in next_ips}) == len(next_ips)
             if bundle.int_op.opcode in (Opcode.BR, Opcode.BEQ, Opcode.BNE):
                 branches += 1
-                assert len({id(node[1]) for node in copies}) == len(copies)
+                assert len({id(node[NODE_ISSUE]) for node in copies}) \
+                    == len(copies)
             else:
-                assert all(node[1] is int_fn for node in copies)
+                assert all(node[NODE_ISSUE] is issue for node in copies)
         assert branches == 2
 
     def test_attaching_a_router_empties_the_memo(self, chip):

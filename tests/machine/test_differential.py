@@ -1,8 +1,9 @@
 """Differential testing: the pipelined chip vs the sequential reference.
 
 Random programs (straight-line arithmetic, memory traffic against a
-data segment, FP work, bounded loops) run on both engines; final
-architectural state must match exactly.  Divergence means a pipeline
+data segment, FP work, bounded loops, some ops packed into multi-op
+bundles) run on both engines; final architectural state must match
+exactly.  Divergence means a pipeline
 bug — commit ordering, deferred load writeback, or IP handling.
 """
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.core.permissions import Permission
 from repro.core.pointer import GuardedPointer
+from repro.fuzz.generator import pack_lines
 from repro.machine.assembler import assemble
 from repro.machine.chip import ChipConfig, MAPChip
 from repro.machine.reference import ReferenceInterpreter
@@ -165,6 +167,9 @@ def random_line(draw):
 @st.composite
 def random_program(draw):
     lines = draw(st.lists(random_line(), min_size=1, max_size=40))
+    # some runs of adjacent ops share one LIW bundle
+    lines = pack_lines("\n".join(lines).splitlines(),
+                       lambda: draw(st.booleans()))
     # optionally wrap in a bounded countdown loop
     if draw(st.booleans()):
         count = draw(st.integers(min_value=1, max_value=5))

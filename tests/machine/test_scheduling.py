@@ -129,6 +129,29 @@ class TestSlotReuse:
         chip.clusters[0].remove_thread(threads[0])
         chip.spawn(ip, cluster=0)  # fits again
 
+    def test_a_thread_removed_mid_drain_never_issues_there(self):
+        # cycle 0 issues domain 1; cycle 1 starts the domain-switch
+        # drain that domain 2's thread waits out.  Removed then, it
+        # must not issue on the cluster it left when the drain ends,
+        # and the drain it began still stalls the cluster
+        chip = MAPChip(ChipConfig(memory_bytes=2 * 1024 * 1024,
+                                  domain_switch_penalty=3))
+        ip = load(chip, SPIN.format(n=5))
+        first = chip.spawn(ip, domain=1, cluster=0)
+        second = chip.spawn(ip, domain=2, cluster=0)
+        chip.step()
+        chip.step()
+        cluster = chip.clusters[0]
+        assert cluster._pending is second
+        cluster.remove_thread(second)
+        chip.step()
+        chip.step()
+        assert cluster.switch_stall_cycles == 3
+        assert chip.run().reason == "halted"
+        assert first.state is ThreadState.HALTED
+        assert second.stats.bundles == 0
+        assert second.scheduler is None and cluster._pending is None
+
 
 class TestSpawn:
     def test_placement_takes_the_lowest_least_active_cluster(self, chip):

@@ -17,7 +17,8 @@ from repro.core.pointer import GuardedPointer
 from repro.machine.assembler import assemble
 from repro.machine.chip import (ChipConfig, MAPChip, RunReason, RunResult,
                                 without_shortcut_tallies)
-from repro.machine.cluster import NODE_MEM_FN
+from repro.machine.cluster import NODE_BUNDLE, NODE_ISSUE
+from repro.machine.isa import Opcode
 from repro.machine.multicomputer import Multicomputer
 from repro.machine.network import MeshShape
 from repro.machine.reference import ReferenceInterpreter
@@ -94,7 +95,7 @@ def thread_view(sim):
 # -- per-functional-unit parity (one workload per unit/op class) ----------
 
 UNIT_WORKLOADS = {
-    # integer unit, compiled closures
+    # integer unit, ALU fragments
     "int-alu-imm": """
         movi r2, 200
     loop:
@@ -131,8 +132,7 @@ UNIT_WORKLOADS = {
     done:
         halt
     """,
-    # integer unit, rare ops (ISPTR/GETIP call the integer unit through
-    # their node's generic closure; MOV is compiled)
+    # integer unit, rare ops (ISPTR, GETIP and MOV fragments)
     "int-fallback": """
         movi r2, 100
     loop:
@@ -167,7 +167,7 @@ UNIT_WORKLOADS = {
         bne  r2, loop
         halt
     """,
-    # memory unit: compiled load/store closures
+    # memory unit: load/store fragments
     "mem-loads": """
         movi r2, 150
     loop:
@@ -857,7 +857,7 @@ def assert_matches_reference(source, entry, spawned, chip_for_data):
 
 @pytest.mark.parametrize("unit", sorted(UNIT_WORKLOADS))
 class TestPerCycleUnitParity:
-    """Each unit's compiled closures with 2–4 threads interleaved cycle
+    """Each unit's issue functions with 2–4 threads interleaved cycle
     by cycle on one cluster: solo runs against the plain per-cycle
     machine."""
 
@@ -887,7 +887,7 @@ class TestPerCycleUnitParity:
 @pytest.mark.parametrize("unit", sorted(NEEDS_DATA))
 class TestMeshUnitParity:
     """The memory workloads on node 0 of a mesh, every load and store
-    remote: the compiled closures go through the chip's mesh port, so
+    remote: the issue functions go through the chip's mesh port, so
     loads wait for the window barrier (REMOTE_WAIT) and stores travel
     as messages."""
 
@@ -901,11 +901,19 @@ class TestMeshUnitParity:
         if reads:
             # remote loads blocked until their barrier reply
             assert all(t.stats.stall_cycles > 0 for t, _, _ in spawned)
-        names = {node[NODE_MEM_FN].__name__
-                 for nodes in mc.chips[0]._decode_cache.values()
-                 for node in nodes.values()
-                 if node[NODE_MEM_FN] is not None}
-        assert names & {"load", "store"}
+        # every decoded load or store issues through the mesh port
+        chip = mc.chips[0]
+        issues = [node[NODE_ISSUE]
+                  for nodes in chip._decode_cache.values()
+                  for node in nodes.values()
+                  if node[NODE_BUNDLE].mem_op.opcode in (
+                      Opcode.LD, Opcode.ST, Opcode.LDF, Opcode.STF)]
+        assert issues
+        for issue in issues:
+            cells = dict(zip(issue.__code__.co_freevars,
+                             (cell.cell_contents
+                              for cell in issue.__closure__)))
+            assert cells["access"] == chip.access_memory
         assert_matches_reference(source, entry, spawned, mc.chips[1])
 
         off, off_result, _, off_spawned = run_mesh(source, fast_paths=False)
@@ -919,8 +927,8 @@ class TestMeshUnitParity:
 class TestMeshUnalignedAccess:
     @pytest.mark.parametrize("op", ["ld r3, r9, 0", "st r3, r9, 0"])
     def test_unaligned_remote_access_faults(self, op):
-        # alignment is a property of the virtual address: the compiled
-        # closure faults at issue, before any message leaves the node
+        # alignment is a property of the virtual address: the issue
+        # function faults, before any message leaves the node
         source = f"lea r9, r8, 4\n{op}\nhalt"
         outcomes = []
         for fast_paths in (True, False):

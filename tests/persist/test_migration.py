@@ -243,3 +243,36 @@ class TestMigrationPersists:
                     if t.tid == thread.tid]
         assert migrated and migrated[0].state is ThreadState.HALTED
         assert migrated[0].regs.read(5).value == 41
+
+    def test_snapshot_after_migrating_a_thread_mid_drain(self):
+        # two processes in two domains on cluster 0 of a machine that
+        # pays a domain-switch drain: at cycle 2 the cluster waits one
+        # out for the second process's thread, which then migrates.
+        # The cluster forgets it, so the machine captures, and both
+        # processes finish on their nodes
+        mc = Multicomputer(MeshShape(2, 1, 1),
+                           ChipConfig(page_bytes=PAGE,
+                                      domain_switch_penalty=8),
+                           arena_order=24)
+        kernel = mc.kernels[0]
+        manager = ProcessManager(kernel)
+        started = []
+        for _ in range(2):
+            process = manager.create(CLIENT)
+            data = kernel.allocate_segment(PAGE, eager=True)
+            kernel.chip.memory.store_word(
+                kernel.chip.page_table.walk(data.segment_base),
+                TaggedWord.integer(41))
+            process.segments.append(data)
+            started.append((process,
+                            process.start(regs={1: data.word}, cluster=0)))
+        mc.run(max_cycles=2)
+        (_, staying), (moving, migrant) = started
+        cluster = mc.chips[0].clusters[0]
+        assert cluster._pending is migrant
+        MigrationService(mc).migrate(moving, destination=1)
+        capture_multicomputer(mc)
+        assert mc.run().reason is RunReason.HALTED
+        assert migrant.scheduler.chip is mc.chips[1]
+        for thread in (staying, migrant):
+            assert thread.regs.read(6).value == 42
