@@ -10,11 +10,13 @@ and the emitted regression tests rely on.
 Register conventions (shared with ``tests/machine/test_differential``):
 
 ========  =====================================================
-r1–r7     scratch computation registers
+r1–r7     scratch computation registers (r1: the patch word in
+          self-modify cases)
 r8        pointer to a read/write data segment (never clobbered)
 r9–r11    derivation targets (LEA/LEAB/RESTRICT/SUBSEG results)
 r12       bounded-loop counter
-r13       ENTER pointer to the ``gate`` label (enter-call cases)
+r13       ENTER pointer to the ``gate`` label (enter-call cases); the
+          sum of every ``r5`` the patch target set (self-modify cases)
 r14       return pointer (GETIP) / kernel-provided stack pointer
 r15       read/write alias of the code segment (self-modify cases)
 ========  =====================================================
@@ -30,7 +32,7 @@ from repro.machine.assembler import AssemblyError, assemble
 #: every scenario the generator can emit
 SCENARIOS = (
     "plain",          # straight-line / bounded-loop ISA soup
-    "self_modify",    # the program patches its own next iteration
+    "self_modify",    # the program patches its own loop, a new word each time
     "enter_call",     # call through an ENTER pointer and return
     "unmap_remap",    # kernel unmaps the code page, remaps with new code
     "swap",           # code and data pages take a swap round-trip
@@ -104,7 +106,8 @@ def _one_bundle(lines: list[str]) -> bool:
 
 
 def _body_lines(rng: random.Random, n: int, risky: bool = True,
-                tag: str = "", allow_skip: bool = True) -> list[str]:
+                tag: str = "", allow_skip: bool = True,
+                first: int = 1) -> list[str]:
     """``n`` random body lines under the register conventions above,
     some of them packed into multi-op bundles (:func:`pack_lines`).
 
@@ -112,7 +115,9 @@ def _body_lines(rng: random.Random, n: int, risky: bool = True,
     (unaligned access, out-of-bounds derivation, unprivileged SETPTR,
     TRAP) — fault type and ordering parity is part of what the differ
     checks.  ``tag`` keeps forward-skip labels unique when a program
-    splices together several generated bodies.
+    splices together several generated bodies.  ``first`` is the
+    lowest scratch register the lines use (``self_modify`` keeps its
+    patch word in r1).
     """
     lines: list[str] = []
     skip = 0
@@ -122,7 +127,7 @@ def _body_lines(rng: random.Random, n: int, risky: bool = True,
              "itof", "ftoi", "isptr", "restrict", "subseg"]
             + (["skip"] if allow_skip else [])
             + (["risky"] if risky and rng.random() < 0.3 else []))
-        r = lambda: rng.randint(1, 7)          # noqa: E731
+        r = lambda: rng.randint(first, 7)      # noqa: E731
         d = lambda: rng.randint(9, 11)         # noqa: E731
         f = lambda: rng.randint(0, 7)          # noqa: E731
         imm = lambda: rng.randint(-1000, 1000)  # noqa: E731
@@ -167,7 +172,7 @@ def _body_lines(rng: random.Random, n: int, risky: bool = True,
             op = rng.choice(["beq", "bne"])
             lines.append(f"{op} r{r()}, {label}")
             lines.extend(_body_lines(rng, rng.randint(1, 2), risky=False,
-                                     allow_skip=False))
+                                     allow_skip=False, first=first))
             lines.append(f"{label}:")
         elif kind == "risky":
             choice = rng.choice(["unaligned", "oob", "setptr", "trap"])
@@ -203,16 +208,35 @@ def _random_fregs(rng: random.Random) -> dict[int, float]:
     return fregs
 
 
+#: where ``self_modify`` puts its store, which writes the word in r1
+#: and then adds one to it, so every patch writes a new word (a stale
+#: copy of the last patch would otherwise match memory):
+#:
+#: * ``head``: the target opens the loop body and the store closes it,
+#:   every iteration;
+#: * ``forward``: the store comes first and the target right after it,
+#:   in the same straight-line run, so the patch lands on a bundle
+#:   about to issue;
+#: * ``alternate``: as ``head``, but the store is skipped on every other
+#:   iteration, so the patched target also runs in an iteration that
+#:   stores nothing.
+PATCH_SHAPES = ("head", "forward", "alternate")
+
+
 def _patchable_loop(rng: random.Random, body: list[str],
                     store_line: str | None,
-                    count: int | None = None) -> tuple[str, int, int, int]:
+                    count: int | None = None,
+                    shape: str = "head") -> tuple[str, int, int, int]:
     """A bounded loop containing a patch *target* bundle
-    (``movi r5, old``) and optionally the store that patches it.
+    (``movi r5, old``) and optionally the store that patches it, placed
+    by ``shape`` (:data:`PATCH_SHAPES`).
 
-    The target executes *before* the store in each iteration, so the
-    first pass decodes (and caches) the old bundle and later passes
-    must observe the patch — the exact ordering that turns a missed
-    invalidation into an architecturally visible stale ``r5``.
+    In the ``head`` and ``alternate`` shapes the target executes
+    *before* the store in each iteration, so the first pass decodes
+    (and caches) the old bundle and later passes must observe the
+    patch — the exact ordering that turns a missed invalidation into an
+    architecturally visible stale ``r5``.  In the ``forward`` shape the
+    target runs right after the store that patched it.
 
     Returns ``(source, target_byte_offset, old_imm, new_imm)``; the
     offset is resolved by assembling once with a placeholder (changing
@@ -222,10 +246,20 @@ def _patchable_loop(rng: random.Random, body: list[str],
     prologue = [f"movi r1, {_MOVI_R5_HI}",
                 "shli r1, r1, 54",
                 f"ori r1, r1, {new}"]
-    inner = ["target:", f"movi r5, {old}"]
-    inner.extend(body)
+    target = ["target:", f"movi r5, {old}"]
+    store = []
     if store_line is not None:
-        inner.append(store_line)
+        # r13 sums every value the target sets, so one stale iteration
+        # shows at the end
+        target.append("add r13, r13, r5")
+        store = [store_line, "addi r1, r1, 1"]
+    if shape == "forward":
+        inner = store + target + body
+    elif shape == "alternate":
+        inner = (target + body + ["andi r7, r12, 1", "beq r7, kept"]
+                 + store + ["kept:"])
+    else:
+        inner = target + body + store
     source = "\n".join(prologue) + "\n" + _loop(
         rng, inner, count=count if count is not None else rng.randint(2, 4))
     offset = assemble(source).labels["target"]
@@ -250,11 +284,14 @@ def generate_case(seed: int, scenario: str | None = None) -> FuzzCase:
             "\n".join(body) + "\nhalt"
 
     elif scenario == "self_modify":
+        shape = rng.choice(PATCH_SHAPES)
         source, offset, old, new = _patchable_loop(
-            rng, _body_lines(rng, rng.randint(1, 5), risky=False),
-            store_line="st r1, r15, 0")
+            rng, _body_lines(rng, rng.randint(1, 5), risky=False, first=2),
+            store_line="st r1, r15, 0", count=rng.randint(3, 6),
+            shape=shape)
         source = source.replace("st r1, r15, 0", f"st r1, r15, {offset}")
-        meta = {"patch_offset": offset, "old": old, "new": new}
+        meta = {"patch_offset": offset, "old": old, "new": new,
+                "shape": shape}
 
     elif scenario == "enter_call":
         body_a = _body_lines(rng, rng.randint(1, 4), risky=False, tag="a")

@@ -51,6 +51,14 @@ so no invalidation or capture reaches the memo; only
 :meth:`MAPChip.attach_router` empties it, because loads and stores
 bind their memory port by whether the chip is a mesh node.
 
+Over the cache sits the *block table* superblock traces run: a lone
+thread's straight-line code as one generated function per basic block
+(:func:`~repro.machine.cluster.block_at`), by the pointer word at the
+block's start.  A block is built from the cache's nodes, so any drop
+of a decoded bundle empties the table (a capture or restore too);
+its functions, one per block content, live as long as the content
+memo's.
+
 ``ChipConfig(fast_paths=False)`` turns it off together with every
 other simulator shortcut (see :class:`ChipConfig`).
 """
@@ -71,7 +79,7 @@ from repro.core.exceptions import FetchPending, PageFault, PermissionFault
 from repro.core.permissions import EXECUTE_BY_CODE, PERMISSION_BY_CODE
 from repro.core.pointer import GuardedPointer
 from repro.core.word import TaggedWord
-from repro.machine.cluster import Cluster, bind_bundle, share_bundle
+from repro.machine.cluster import Cluster, bind_bundle, block_at, share_bundle
 from repro.machine.counters import PerfCounters
 from repro.machine.faults import FaultRecord
 from repro.machine.isa import BUNDLE_BYTES, OP_BYTES, SLOTS, Bundle
@@ -288,6 +296,16 @@ class MAPChip:
         self._decoded_words: dict[tuple[int, int, int], tuple] | None = (
             {} if c.fast_paths else None
         )
+        #: the block table superblock traces run (PERF.md §11): pointer
+        #: word -> the entry of the basic block that starts there
+        #: (:func:`~repro.machine.cluster.block_at`), or False where the
+        #: node ends traces.  Built from decode-cache nodes, so emptied
+        #: whenever a decoded bundle is dropped (PERF.md §3)
+        self._blocks: dict[int, tuple | bool] = {}
+        #: the block functions under it, by the bundles' contents and
+        #: whether the last one's fall-through leaves the segment; like
+        #: the content memo, emptied only by :meth:`attach_router`
+        self._block_functions: dict[tuple, object] = {}
         #: superblock telemetry (plain attributes, deliberately *not*
         #: PerfCounters: counter snapshots must be bit-identical whether
         #: traces ran or not, so engine-utilization introspection lives
@@ -409,11 +427,13 @@ class MAPChip:
         """Make this chip a mesh node serviced by ``router``.  Compiled
         loads and stores bind their memory port by whether a router is
         attached, so every decoded bundle is dropped here, and every
-        issue function the content memo keeps with them."""
+        issue function the content memo keeps with them, and every
+        block function."""
         self.router = router
         self._flush_decoded_local()
         if self._decoded_words is not None:
             self._decoded_words.clear()
+        self._block_functions.clear()
 
     # -- the memory port used by the clusters ----------------------------
 
@@ -579,10 +599,13 @@ class MAPChip:
         self._flush_decoded_local()
 
     def _flush_decoded_local(self) -> None:
-        """Drop every decoded bundle on *this* node."""
+        """Drop every decoded bundle on *this* node, and with them
+        every block (a block exists only while its bundles are
+        decoded)."""
         if self._decode_cache:
             self.decode_invalidations += len(self._decode_cache)
             self._decode_cache.clear()
+            self._blocks.clear()
         self._code_pages.clear()
 
     def flush_decoded(self) -> None:
@@ -617,7 +640,9 @@ class MAPChip:
         Bundle fetch addresses are word-aligned but not bundle-size
         aligned (segments align to powers of two, bundles are 24
         bytes), so the bundles that can contain this word start at the
-        word itself or one or two words earlier.
+        word itself or one or two words earlier.  Dropping one empties
+        the block table: a running block reads that as its store's
+        exit (PERF.md §11).
         """
         if vaddr >> self._code_page_shift not in self._code_pages:
             return
@@ -626,6 +651,7 @@ class MAPChip:
         for start in (word, word - OP_BYTES, word - 2 * OP_BYTES):
             if cache.pop(start, None) is not None:
                 self.decode_invalidations += 1
+                self._blocks.clear()
 
     def invalidate_decoded_range(self, base: int, nbytes: int) -> None:
         """Drop every cached bundle overlapping ``[base, base+nbytes)``
@@ -647,7 +673,9 @@ class MAPChip:
         stale = [a for a in cache if lo <= a < hi]
         for address in stale:
             del cache[address]
-        self.decode_invalidations += len(stale)
+        if stale:
+            self.decode_invalidations += len(stale)
+            self._blocks.clear()
 
     # -- fault plumbing ------------------------------------------------------
 
@@ -744,10 +772,12 @@ class MAPChip:
         dispatch (:meth:`Cluster.run_superblock`, the busy-cycle twin
         of idle fast-forward), unless hot tracing wants a per-bundle
         event stream, its own cluster is mid-drain, or it would trigger
-        a domain-switch stall.  Its first bundle is probed before the
-        wake scan: one the decode cache does not hold, or one that ends
-        traces, declines the dispatch at once, as the trace would stop
-        in front of it.  Several ready threads run *solo*: every
+        a domain-switch stall.  Its first block is looked up before the
+        wake scan, in the block table, else built from the decode cache
+        (:func:`~repro.machine.cluster.block_at`), and handed to the
+        trace: a bundle the decode cache does not hold, or one that
+        ends traces, declines the dispatch at once, as the trace would
+        stop in front of it.  Several ready threads run *solo*: every
         cycle still goes through :meth:`Cluster.step` (wake scan,
         round-robin select, domain-switch stall, fetch, issue), so
         threads in any mix of protection domains interleave exactly as
@@ -769,14 +799,16 @@ class MAPChip:
         if ready == 1:
             mask = cluster._ready_mask
             thread = cluster.slots[(mask & -mask).bit_length() - 1]
-            # the trace's first probe, made before anything else is
-            # read: a bundle the decode cache does not hold, or one
+            # the trace's first block, looked up before anything else
+            # is read: a bundle the decode cache does not hold, or one
             # that ends traces, would stop it before its first issue
-            word = thread.ip.word.value
-            nodes = self._decode_cache.get(word & _ADDRESS_MASK)
-            node = None if nodes is None else nodes.get(word)
-            if node is None or node[4]:  # not decoded, or ends_trace
-                return 0
+            ip = thread.ip
+            entry = self._blocks.get(ip.word.value)
+            if not entry:
+                if entry is None:
+                    entry = block_at(self, ip)
+                if not entry:
+                    return 0
         wake = self.next_wake()
         end = horizon if wake is None else min(wake, horizon)
         if end <= now:
@@ -790,7 +822,7 @@ class MAPChip:
                     or penalty and cluster.last_domain is not None
                     and thread.domain != cluster.last_domain):
                 return 0
-            issued = cluster.run_superblock(thread, now, end)
+            issued = cluster.run_superblock(thread, now, end, entry)
             if not issued:
                 return 0
             now += issued

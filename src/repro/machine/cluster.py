@@ -20,13 +20,16 @@ with a side effect beyond registers — performed last.
 Each opcode's semantics are written once, as one template fragment
 (``_FRAGMENTS``).  A decoded bundle runs as one generated function,
 built from its three ops' fragments (:func:`share_bundle`), which the
-per-cycle path and superblock traces both call once per issue.
+per-cycle path calls once per issue.  Superblock traces run a lone
+thread's straight-line code a basic block at a time: one function per
+block, generated from the same fragments (:func:`block_at`).
 """
 
 from __future__ import annotations
 
 import ast
 import math
+import re
 import sys
 from types import MappingProxyType
 from typing import TYPE_CHECKING
@@ -89,6 +92,10 @@ class Cluster:
         #: tid of the last thread this cluster issued from (trace-only:
         #: feeds the ``thread.switch`` event, never read by the model)
         self._last_tid: int | None = None
+        #: how the last block that left early left: ``(cycles,
+        #: committed bundles, operations, IP to go on at or None)``,
+        #: written by the block's exit and read by :meth:`run_superblock`
+        self._block_exit: tuple | None = None
 
     # -- thread management ------------------------------------------------
 
@@ -334,80 +341,68 @@ class Cluster:
 
     # -- superblock execution ------------------------------------------------
 
-    def run_superblock(self, thread: Thread, start: int, end: int) -> int:
+    def run_superblock(self, thread: Thread, start: int, end: int,
+                       entry: tuple) -> int:
         """Execute ``thread``'s straight-line bundles for cycles
-        ``[start, end)`` in one dispatch; returns the cycles consumed,
-        each of which issued one bundle.
+        ``[start, end)`` in one dispatch, starting with the block entry
+        ``entry`` (:func:`block_at`) at its IP; returns the cycles
+        consumed, each of which issued one bundle.
 
         The chip has proven (in :meth:`MAPChip._run_alone`) that
         nothing else can act before ``end``, so this loop is exactly
         the per-cycle path with the invariant parts hoisted: scheduling
         collapses to "this thread again", fetch collapses to a probe of
-        the decoded-bundle cache, and cycle/issue/idle accounting is
-        settled in bulk at exit: this cluster's and the thread's here,
-        the chip's totals and the other clusters' by the chip.  Each
-        bundle runs the same issue function :meth:`_execute_bundle`
-        runs — execution units, guarded-pointer checks, cache timing,
-        the check memos, histograms, a blocking load's stall — so cycle
-        counts, counters and trace events are bit-identical to stepping
-        the same cycles one by one.  Any bundle the cache cannot answer
-        (not decoded yet, self-modified, reached through a pointer word
-        that has not passed the fetch checks, HALT/TRAP) exits the
-        superblock and the normal path handles it, and so does a
-        blocking load, which leaves the thread blocked.
+        the chip's block table, once per basic block, and
+        cycle/issue/idle accounting is settled in bulk at exit: this
+        cluster's and the thread's here, the chip's totals and the
+        other clusters' by the chip.  A block function runs its
+        bundles' fragments — execution units, guarded-pointer checks,
+        cache timing, the check memos, histograms, a blocking load's
+        stall — as their issue functions do, so cycle counts, counters
+        and trace events are bit-identical to stepping the same cycles
+        one by one.
+
+        A block returns the IP after it, or leaves early (returning
+        None, with ``_block_exit`` set): at a fault, which commits
+        nothing of its bundle and ends the trace; after a load that
+        blocked the thread; between bundles at the horizon; after a
+        store that dropped a decoded bundle, when the trace goes on
+        from the next bundle's block; or at a fall-through off the code
+        segment, which faults.  Any bundle the decode cache cannot
+        answer (not decoded yet, self-modified, reached through a
+        pointer word that has not passed the fetch checks, HALT/TRAP)
+        ends the trace in front of it, and the normal path handles it.
         """
-        chip = self.chip
-        cache = chip._decode_cache
+        blocks = self.chip._blocks
         regs = thread.regs
         r, f = regs._regs, regs._fregs
-        bundles = 0   # committed bundles (a faulting one commits nothing)
+        lost = 0   # cycles whose bundle committed nothing: a fault's
         operations = 0
         now = start
-        ip = thread.ip
         while True:
-            word = ip.word.value
-            nodes = cache.get(word & _ADDRESS_MASK)
-            if nodes is None:
-                break
-            node = nodes.get(word)
-            if node is None:
-                # decoded through other pointer words only: this one
-                # has not passed the fetch checks
-                break
-            bundle, issue, next_ip, live, ends = node
-            if ends:
-                break
-            try:
-                target = issue(thread, r, f, now)
-            except GuardedPointerFault as cause:
-                # the faulting cycle still elapses and the bundle still
-                # issues (fetch hit, then the unit faulted) — but it
-                # commits nothing, exactly like the per-cycle path
-                chip.now = now
-                self._fault(thread, cause,
-                            self._fault_site(bundle, cause), now)
-                now += 1
-                break
-            bundles += 1
-            operations += live
-            if target is not None:
-                thread.ip = ip = target
-            elif next_ip is not None:
-                thread.ip = ip = next_ip
+            block, ips, count, live = entry
+            ip = block(thread, r, f, now, end - now, ips)
+            if ip is not None:
+                now += count
+                operations += live
             else:
-                # the fall-through leaves the code segment; re-derive
-                # live (pure, so it faults again identically)
-                chip.now = now
-                try:
-                    _lea(chip, ip.word, BUNDLE_BYTES)
-                except GuardedPointerFault as cause:
-                    self._fault(thread, cause, "ip-advance", now)
-                now += 1
+                count, committed, live, ip = self._block_exit
+                now += count
+                operations += live
+                if ip is None:
+                    # the block ended the trace and set the thread's IP
+                    lost = count - committed
+                    break
+            if now >= end:
+                thread.ip = ip
                 break
-            now += 1
-            # a blocking load has left the cluster no ready thread
-            if now >= end or not self._n_ready:
-                break
+            entry = blocks.get(ip.word.value)
+            if not entry:
+                if entry is None:
+                    entry = block_at(self.chip, ip)
+                if not entry:
+                    thread.ip = ip
+                    break
         cycles = now - start
         if cycles:
             # the scheduling bookkeeping a per-cycle run would have
@@ -416,7 +411,7 @@ class Cluster:
             self._next_slot = (thread.slot + 1) % len(self.slots)
             self.last_domain = thread.domain
             self._last_tid = thread.tid
-            thread.stats.bundles += bundles
+            thread.stats.bundles += cycles - lost
             thread.stats.operations += operations
         return cycles
 
@@ -450,12 +445,12 @@ class Cluster:
 
 #: A bundle node: one decoded bundle compiled for issue through one
 #: pointer word.  The decoded-bundle cache maps each fetch address to
-#: its nodes by pointer word (:meth:`MAPChip.fetch`), and the per-cycle
-#: path and superblock traces both execute them (PERF.md §6, §10).
-#: Nodes are plain tuples because both executors unpack one every
-#: cycle, and CPython unpacks an exact tuple fastest (a NamedTuple
-#: subclass measured ~7% slower on an ALU trace).  The fields, in
-#: order:
+#: its nodes by pointer word (:meth:`MAPChip.fetch`); the per-cycle
+#: path executes them, and superblock traces run blocks built from them
+#: (PERF.md §6, §10, §11).  Nodes are plain tuples because the
+#: per-cycle path unpacks one every cycle, and CPython unpacks an exact
+#: tuple fastest (a NamedTuple subclass measured ~7% slower on an ALU
+#: trace).  The fields, in order:
 #:
 #: * ``bundle`` — the decoded :class:`~repro.machine.isa.Bundle`;
 #: * ``issue`` — the bundle's issue function, ``issue(thread, r, f,
@@ -468,7 +463,8 @@ class Cluster:
 #:   faults);
 #: * ``live_ops`` — the bundle's non-filler operations;
 #: * ``ends_trace`` — HALT or TRAP: final thread state and trap dispatch
-#:   belong to the per-cycle path, so superblock traces stop in front.
+#:   belong to the per-cycle path, so superblock traces stop in front,
+#:   and no block holds one.
 #:
 #: Only ``next_ip`` and the issue function of a branch, or of a load
 #: whose fall-through leaves the code segment, depend on the fetch
@@ -545,12 +541,16 @@ def bind_bundle(chip: "MAPChip", shared: tuple, ip: GuardedPointer) -> tuple:
 #: factory is compiled once per process, on first use
 _FACTORIES: dict[tuple[Opcode, Opcode, Opcode, bool], object] = {}
 
-#: a factory's parameters: the chip's objects, then the ops' fields
-#: (``i_k``: an ALU immediate's 64-bit operand, MOVI's word, or a
-#: branch's target, None when it is derived live)
-_PARAMS = ("chip, access, load_get, store_get, invalidate, obs, "
-           "load_to_use, i_rd, i_ra, i_rb, i_imm, i_k, "
-           "m_rd, m_ra, m_rb, m_imm, p_rd, p_ra, p_rb")
+#: a bundle's fields, as factory parameters (``i_k``: an ALU
+#: immediate's 64-bit operand, MOVI's word, or a branch's target, None
+#: when it is derived live)
+_FIELDS = ("i_rd", "i_ra", "i_rb", "i_imm", "i_k",
+           "m_rd", "m_ra", "m_rb", "m_imm", "p_rd", "p_ra", "p_rb")
+#: the chip's objects, the first parameters of every factory
+_PORTS = ("chip, access, load_get, store_get, invalidate, obs, "
+          "load_to_use")
+#: an issue function factory's parameters
+_PARAMS = _PORTS + ", " + ", ".join(_FIELDS)
 
 #: no access-check memo (``fast_paths=False``): every probe misses, and
 #: :func:`_mem_address` checks unmemoized
@@ -620,46 +620,352 @@ def _compile_factory(int_code: Opcode, mem_code: Opcode, fp_code: Opcode,
     codes = (int_code, mem_code, fp_code)
     name = ("issue_" + "_".join(code.name.lower() for code in codes)
             + ("_tail" if tail else ""))
-    lines = [(_TABLE_LINE, f"def make_{name}({_PARAMS}):"),
-             (_TABLE_LINE, f"    def {name}(thread, r, f, now):")]
+    acts, writes = _emit(codes, _NAMES, tail)
+    return _compile(name, _PARAMS, "thread, r, f, now", acts + writes + [
+        (_TABLE_LINE, "return target" if int_code in _LEAVES
+         else "return None")])
+
+
+def _emit(codes: tuple[Opcode, Opcode, Opcode], names: dict,
+          tail: bool) -> tuple[list, list]:
+    """One bundle's generated code, as ``(line, text)`` pairs: the
+    three fragments' acts, then their writes, each in the order int,
+    fp, mem, with the braced names ``names[slot]`` gives.  ``tail``:
+    the fetch pointer's fall-through leaves the code segment."""
+    int_code, mem_code, fp_code = codes
     slots = (("i", int_code), ("p", fp_code), ("m", mem_code))
+    acts, writes = [], []
     for slot, code in slots:
         line, act, _, _ = _FRAGMENTS[code]
-        lines += [(line, "        " + text)
-                  for text in act.format_map(_NAMES[slot]).splitlines()]
-    leaves = int_code in _LEAVES
+        acts += [(line, text)
+                 for text in act.format_map(names[slot]).splitlines()]
     for slot, code in slots:
         line, _, write, at_halt = _FRAGMENTS[code]
         if int_code is Opcode.HALT:
             write = at_halt
-        elif tail and slot == "m":
+        elif tail and slot == "m" and code in _LOADS:
             # the fall-through faults after the other writes, and the
             # load's write is dropped with it: it lands only when the
             # bundle leaves by a target
             write = ("if target is not None:\n" + "\n".join(
                 "    " + text for text in write.splitlines())
-                if leaves else "")
-        lines += [(line, "        " + text)
-                  for text in write.format_map(_NAMES[slot]).splitlines()]
-    lines += [(_TABLE_LINE, "        return target" if leaves
-               else "        return None"),
-              (_TABLE_LINE, f"    return {name}")]
+                if int_code in _LEAVES else "")
+        writes += [(line, text)
+                   for text in write.format_map(names[slot]).splitlines()
+                   if not text.isspace()]
+    return acts, writes
+
+
+def _compile(name: str, params: str, args: str, body: list):
+    """Compile the factory ``make_<name>(<params>)`` of the function
+    ``<name>(<args>)`` whose body is ``body`` (``(line, text)`` pairs,
+    unindented), and return the factory.
+
+    The code is compiled under this file's name, so profiles and the
+    per-layer counts charge it to this module, and its line numbers
+    point at the fragment each line came from."""
+    lines = [(_TABLE_LINE, f"def make_{name}({params}):"),
+             (_TABLE_LINE, f"    def {name}({args}):")]
+    lines += [(line, "        " + text) for line, text in body]
+    lines.append((_TABLE_LINE, f"    return {name}"))
     tree = ast.parse("\n".join(text for _, text in lines))
     for node in ast.walk(tree):
         if hasattr(node, "lineno"):
+            # a statement can end on an earlier line than it starts
             node.lineno = lines[node.lineno - 1][0]
-            node.end_lineno = lines[node.end_lineno - 1][0]
+            node.end_lineno = max(node.lineno,
+                                  lines[node.end_lineno - 1][0])
     namespace: dict = {}
     exec(compile(tree, __file__, "exec"), globals(), namespace)
     return namespace[f"make_{name}"]
 
 
 #: each slot's names for a fragment's ``{rd}``, ``{ra}``, ``{rb}``,
-#: ``{imm}``, ``{k}`` (the factory's parameters) and ``{v}`` (the op's
-#: result, a local of the issue function)
+#: ``{imm}``, ``{k}`` (the factory's parameters), ``{v}`` (the op's
+#: result, a local of the issue function), ``{ip}`` (the bundle's own
+#: IP) and ``{blocked}`` (a block's exit after a load that blocked the
+#: thread; none here)
 _NAMES = {slot: {field: f"{slot}_{field}"
                  for field in ("rd", "ra", "rb", "imm", "k", "v")}
+          | {"ip": "thread.ip", "blocked": ""}
           for slot in "imp"}
+
+
+# -- basic blocks: a lone thread's straight-line code, one function each
+
+
+#: the integer ops that end a block: they can leave it by a target
+_ENDS_BLOCK = _BRANCHES | {Opcode.JMP}
+#: the ops whose fragments hand the thread to code that reads its IP
+#: (JMP's auditor and ``note_jump``, SETPTR's ``thread.privileged``):
+#: a block sets the IP before running one
+_SEES_IP = frozenset({Opcode.JMP, Opcode.SETPTR})
+#: the memory ops that can drop a decoded bundle
+_STORES = frozenset({Opcode.ST, Opcode.STF})
+#: the filler ops, which a thread's ``operations`` do not count
+_FILLERS = frozenset({Opcode.NOP, Opcode.FNOP})
+#: the most bundles one block runs
+BLOCK_CAP = 16
+
+#: (the bundles' opcode triples, tail) -> the factory of that sequence's
+#: block functions, compiled once per process on first use
+_BLOCK_FACTORIES: dict[tuple, object] = {}
+
+
+def block_at(chip: "MAPChip", ip: GuardedPointer):
+    """The block entry for a trace at ``ip``, built from the decode
+    cache's nodes and added to the chip's block table (PERF.md §11);
+    False, also added, when the node there ends traces (HALT, TRAP);
+    None when the decode cache cannot answer ``ip``.
+
+    A block starts at ``ip`` and follows the fall-through from node to
+    node, through each node's memoized ``next_ip``.  It ends after a
+    bundle that can leave by a target (BR, BEQ, BNE, JMP) or whose
+    fall-through leaves the code segment (a *tail*), before a bundle
+    the decode cache cannot answer or a HALT or TRAP, or after
+    :data:`BLOCK_CAP` bundles.  Its function depends on the bundles'
+    contents and the tail alone, so the chip keeps one per contents;
+    the entry adds what depends on the fetch pointer: ``(function,
+    ips, bundles, operations)``, where ``ips`` holds each bundle's IP,
+    then the fall-through (None for a tail), then a final branch's
+    target (None when it leaves the segment: the fragment derives it
+    live)."""
+    cache = chip._decode_cache
+    start = ip.word.value
+    bundles = []
+    ips = []
+    live = 0
+    while True:
+        word = ip.word.value
+        nodes = cache.get(word & _ADDRESS_MASK)
+        node = None if nodes is None else nodes.get(word)
+        if node is None or node[4]:
+            if bundles:
+                break
+            if node is not None:
+                chip._blocks[start] = False
+                return False
+            return None
+        bundle, _, next_ip, live_ops, _ = node
+        bundles.append(bundle)
+        ips.append(ip)
+        live += live_ops
+        ip = next_ip
+        if (ip is None or bundle.int_op.opcode in _ENDS_BLOCK
+                or len(bundles) == BLOCK_CAP):
+            break
+    # ``ip`` is the last bundle's fall-through
+    op = bundles[-1].int_op
+    target = None
+    if op.opcode in _BRANCHES:
+        try:
+            target = _lea(chip, ips[-1].word, op.imm)
+        except GuardedPointerFault:
+            pass
+    # the content memo keeps one Bundle per decoded content until
+    # attach_router, which empties this dict too: equal identities are
+    # equal contents (a dataclass hash would run Python frames per
+    # bundle)
+    key = (*map(id, bundles), ip is None)
+    block = chip._block_functions.get(key)
+    if block is None:
+        block = chip._block_functions[key] = _block(chip, bundles,
+                                                    ip is None)
+    entry = chip._blocks[start] = (block, (*ips, ip, target),
+                                   len(bundles), live)
+    return entry
+
+
+def _block(chip: "MAPChip", bundles: list[Bundle], tail: bool):
+    """The block function of ``bundles`` on ``chip``: its sequence's
+    factory called with the chip's objects and every bundle's fields.
+    Blocks run only in traces, which never run on a mesh node
+    (:meth:`MAPChip.run`), so loads and stores bind the local cache
+    port and the decoded-bundle invalidation, as an issue function off
+    a mesh does."""
+    key = (tuple((b.int_op.opcode, b.mem_op.opcode, b.fp_op.opcode)
+                 for b in bundles), tail)
+    factory = _BLOCK_FACTORIES.get(key)
+    if factory is None:
+        factory = _BLOCK_FACTORIES[key] = _compile_block_factory(*key)
+    fields = []
+    for bundle in bundles:
+        i, m, p = bundle.int_op, bundle.mem_op, bundle.fp_op
+        k = i.imm & _WORD_MASK
+        if i.opcode is Opcode.MOVI:
+            # MOVI's word, built as the fragments build words
+            word = _new(TaggedWord)
+            _set_value(word, k)
+            _set_tag(word, False)
+            k = word
+        fields += (i.rd, i.ra, i.rb, i.imm, k, m.rd, m.ra, m.rb, m.imm,
+                   p.rd, p.ra, p.rb)
+    load_memo = chip._load_check_memo
+    store_memo = chip._store_check_memo
+    obs = chip.obs
+    return factory(
+        chip, chip.cache.access,
+        (_NO_MEMO if load_memo is None else load_memo).get,
+        (_NO_MEMO if store_memo is None else store_memo).get,
+        chip.invalidate_decoded_word, obs, obs.load_to_use.add,
+        chip._blocks, tuple(bundles), *fields)
+
+
+def _compile_block_factory(codes: tuple, tail: bool):
+    """Generate and compile the factory of one sequence of opcode
+    triples' block functions, ``block(thread, r, f, now, left, ips)``:
+    ``left`` is the cycles the trace may still run, ``ips`` the entry's
+    pointers (:func:`block_at`).
+
+    Each bundle is its issue function's code (:func:`_emit`): its acts,
+    inside a ``try`` whose handler is the fault exit unless no op in it
+    can fault, then its writes; between bundles, only the exits a
+    bundle can take.  ``now`` is advanced only where a fragment or an
+    exit reads it, and the thread's IP is set only before a bundle that
+    hands the thread to code that reads it.  The last bundle returns
+    the IP after the block: its target, else the fall-through.  Every
+    sequence's factory and function has its own name, with the block's
+    length, first op and last int op in it: profilers key functions by
+    file, line and name."""
+    name = _block_name(codes, tail)
+    n = len(codes)
+    params = (_PORTS + ", blocks, bundles, "
+              + ", ".join(f"b{j}_{field}" for j in range(n)
+                          for field in _FIELDS))
+    body = []
+    done = 0      # operations committed before the bundle at hand
+    at = 0        # the bundle whose cycle ``now`` holds
+    for j, triple in enumerate(codes):
+        last = j == n - 1
+        int_code, mem_code, _ = triple
+        if j:
+            body += [(_TABLE_LINE, f"if left <= {j}:"),
+                     (_TABLE_LINE, f"    return _exit_block(thread, {j}, "
+                      f"{done}, ips[{j}])")]
+        if at != j and any(_NOW.search(_FRAGMENTS[code][1]
+                                       + _FRAGMENTS[code][2])
+                           for code in triple):
+            body.append((_TABLE_LINE, f"now += {j - at}"))
+            at = j
+        now = "now" if at == j else f"now + {j - at}"
+        if _SEES_IP & set(triple):
+            body.append((_TABLE_LINE, f"thread.ip = ips[{j}]"))
+        committed = done + sum(code not in _FILLERS for code in triple)
+        # where the thread goes on after this bundle
+        leaves = last and int_code in _ENDS_BLOCK
+        after = (f"ips[{j + 1}]" if not leaves
+                 else "target" if tail or int_code in (Opcode.BR, Opcode.JMP)
+                 else f"ips[{n}] if target is None else target")
+        names = {slot: {field: f"b{j}_{slot}_{field}"
+                        for field in ("rd", "ra", "rb", "imm", "k", "v")}
+                 | {"ip": f"ips[{j}]",
+                    "blocked": f"thread.ip = {after}; return _exit_block("
+                               f"thread, {j + 1}, {committed}, None)"}
+                 for slot in "imp"}
+        if leaves and int_code in _BRANCHES:
+            names["i"]["k"] = f"ips[{n + 1}]"
+        acts, writes = _emit(triple, names, last and tail)
+        if _CANNOT_FAULT.issuperset(triple):
+            body += acts
+        elif acts:
+            # the ``try`` takes its first line's number, so it costs no
+            # instruction of its own
+            body.append((acts[0][0], "try:"))
+            body += [(line, "    " + text) for line, text in acts]
+            body += [(_TABLE_LINE, "except GuardedPointerFault as cause:"),
+                     (_TABLE_LINE, f"    return _exit_on_fault(thread, "
+                      f"cause, bundles[{j}], ips[{j}], {now}, {j}, "
+                      f"{done})")]
+        body += writes
+        done = committed
+        if not last:
+            if mem_code in _STORES:
+                body += _dropped_exit(j + 1, done)
+        elif not tail:
+            body.append((_TABLE_LINE, f"return {after}"))
+        else:
+            # the fall-through faults; the block leaves only by a target
+            if leaves:
+                body += [(_TABLE_LINE, "if target is not None:"),
+                         (_TABLE_LINE, "    return target")]
+            body.append((_TABLE_LINE, f"return _exit_off_segment(thread, "
+                         f"ips[{j}], {now}, {n}, {done})"))
+    return _compile(name, params, "thread, r, f, now, left, ips", body)
+
+
+#: a fragment reads the cycle
+_NOW = re.compile(r"\bnow\b")
+#: the ops whose acts raise no guarded-pointer fault: the ALU, moves,
+#: the FPU and the casts
+_CANNOT_FAULT = frozenset({
+    Opcode.NOP, Opcode.FNOP, Opcode.MOVI, Opcode.MOV, Opcode.ADD,
+    Opcode.SUB, Opcode.MUL, Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.SHL,
+    Opcode.SHR, Opcode.SLT, Opcode.SEQ, Opcode.ADDI, Opcode.SUBI,
+    Opcode.ANDI, Opcode.ORI, Opcode.XORI, Opcode.SHLI, Opcode.SHRI,
+    Opcode.SLTI, Opcode.SEQI, Opcode.FADD, Opcode.FSUB, Opcode.FMUL,
+    Opcode.FDIV, Opcode.FMOV, Opcode.ITOF, Opcode.FTOI})
+
+
+def _dropped_exit(committed: int, done: int) -> list:
+    """The exit after a store that dropped a decoded bundle, which
+    empties the block table (PERF.md §3): the bundles after it may be
+    stale, so the trace goes on from a block built anew."""
+    return [(_TABLE_LINE, "if not blocks:"),
+            (_TABLE_LINE, f"    return _exit_block(thread, {committed}, "
+             f"{done}, ips[{committed}])")]
+
+
+def _block_name(codes: tuple, tail: bool) -> str:
+    """A name unique to the sequence: its length, first live op and
+    last int op, then a 32-bit FNV-1a digest of every opcode (stable
+    across processes, unlike ``hash``)."""
+    text = ";".join(",".join(code.name for code in triple)
+                    for triple in codes) + (";tail" if tail else "")
+    digest = 2166136261
+    for byte in text.encode():
+        digest = (digest ^ byte) * 16777619 & 0xFFFFFFFF
+    first = next((code for code in codes[0] if code not in _FILLERS),
+                 Opcode.NOP)
+    return (f"block{len(codes)}_{first.name.lower()}_"
+            f"{codes[-1][0].name.lower()}_{digest:08x}")
+
+
+def _exit_block(thread: Thread, committed: int, operations: int,
+                ip: GuardedPointer | None) -> None:
+    """A block leaves early after ``committed`` bundles, one cycle
+    each: the trace goes on at ``ip``, or ends when it is None (the
+    block has set the thread's IP)."""
+    thread.scheduler._block_exit = (committed, committed, operations, ip)
+
+
+def _exit_on_fault(thread: Thread, cause: GuardedPointerFault,
+                   bundle: Bundle, ip: GuardedPointer, now: int,
+                   committed: int, operations: int) -> None:
+    """A block's bundle at ``ip`` faulted in cycle ``now``.  The cycle
+    still elapses and the bundle still issues (fetch hit, then the unit
+    faulted), but it commits nothing, exactly like the per-cycle path;
+    the trace ends."""
+    cluster = thread.scheduler
+    thread.ip = ip
+    cluster.chip.now = now
+    cluster._fault(thread, cause, cluster._fault_site(bundle, cause), now)
+    cluster._block_exit = (committed + 1, committed, operations, None)
+
+
+def _exit_off_segment(thread: Thread, ip: GuardedPointer, now: int,
+                      committed: int, operations: int) -> None:
+    """A block's last bundle, at ``ip``, fell through off the end of
+    the code segment in cycle ``now``: re-derive the fall-through live
+    (pure, so it faults again identically); the trace ends."""
+    cluster = thread.scheduler
+    chip = cluster.chip
+    thread.ip = ip
+    chip.now = now
+    try:
+        _lea(chip, ip.word, BUNDLE_BYTES)
+    except GuardedPointerFault as cause:
+        cluster._fault(thread, cause, "ip-advance", now)
+    cluster._block_exit = (committed, committed, operations, None)
 
 # what the generated code calls by these names: an untagged word is
 # built as the frozen dataclass's ``__init__`` would build it, without
@@ -707,7 +1013,8 @@ def _load(bank: str) -> tuple[str, str, str]:
     bank)``, read by index.  A remote load binds its register at the
     next window barrier, which resolves the value and the latency, and
     the histogram is charged then; a load that is not ready next cycle
-    defers its write and blocks the thread for the stall; in a halting
+    defers its write and blocks the thread for the stall (a block then
+    leaves by ``{blocked}``, empty in an issue function); in a halting
     bundle a load's write lands at once."""
     value = "loaded[0]" if bank == "r" else "word_to_float(loaded[0])"
     act = (_checked_address(False)
@@ -724,6 +1031,7 @@ def _load(bank: str) -> tuple[str, str, str]:
              + value + "))\n"
              "        thread.stats.stall_cycles += ready - now - 1\n"
              "    thread.block_until(ready)\n"
+             "    {blocked}\n"
              "else:\n"
              "    " + bank + "[{rd}] = " + value)
     at_halt = ("if ready != REMOTE_WAIT:\n"
@@ -782,16 +1090,16 @@ _FRAGMENTS = {
     Opcode.MOV: _fragment("{v} = r[{ra}]", "r[{rd}] = {v}"),
     Opcode.ISPTR: _fragment("{v} = ops.ispointer(r[{ra}])", "r[{rd}] = {v}"),
     Opcode.BR: _fragment(
-        "target = _lea(chip, thread.ip.word, {imm}) if {k} is None else {k}"),
+        "target = _lea(chip, {ip}.word, {imm}) if {k} is None else {k}"),
     Opcode.BEQ: _fragment(
         "target = None\n"
         "if r[{rd}].value == 0:\n"
-        "    target = (_lea(chip, thread.ip.word, {imm}) if {k} is None\n"
+        "    target = (_lea(chip, {ip}.word, {imm}) if {k} is None\n"
         "              else {k})"),
     Opcode.BNE: _fragment(
         "target = None\n"
         "if r[{rd}].value != 0:\n"
-        "    target = (_lea(chip, thread.ip.word, {imm}) if {k} is None\n"
+        "    target = (_lea(chip, {ip}.word, {imm}) if {k} is None\n"
         "              else {k})"),
     Opcode.JMP: _fragment(
         "{v} = r[{ra}]\n"
@@ -802,7 +1110,7 @@ _FRAGMENTS = {
         "if obs.enabled:\n"
         "    obs.note_jump(thread, {v}, target, now,\n"
         "                  thread.scheduler.cluster_id)"),
-    Opcode.GETIP: _fragment("{v} = _lea(chip, thread.ip.word, {imm}).word",
+    Opcode.GETIP: _fragment("{v} = _lea(chip, {ip}.word, {imm}).word",
                             "r[{rd}] = {v}"),
     Opcode.HALT: _fragment("target = _Halt"),
     Opcode.TRAP: _fragment("raise TrapFault({imm})"),

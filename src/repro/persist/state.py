@@ -270,8 +270,12 @@ def _reset_functional_memos(chip: "MAPChip") -> None:
     this is a snapshot boundary, not an architectural invalidation).
     Called on both sides of the boundary — by capture on the live
     machine and by restore on the target — so the two re-warm from the
-    same cold state and their memo tallies stay bit-identical."""
+    same cold state and their memo tallies stay bit-identical.  The
+    block table goes with the decode cache it is built from; the block
+    functions, like the content memo, hold only what a restore writes
+    in place, and stay."""
     chip._decode_cache.clear()
+    chip._blocks.clear()
     if chip._lea_cache is not None:
         chip._lea_cache.clear()
     if chip._load_check_memo is not None:

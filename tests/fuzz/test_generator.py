@@ -124,7 +124,7 @@ class TestFastPathsAxisSabotage:
         self._forget_idle_clusters(monkeypatch)
         # no traces, so every run alone is a solo run
         monkeypatch.setattr(Cluster, "run_superblock",
-                            lambda self, thread, start, end: 0)
+                            lambda self, thread, start, end, entry: 0)
         # two threads share cluster 0, so run() steps it alone; no
         # other scenario runs two threads at once
         case = FuzzCase(seed=0, scenario="interleave",
@@ -133,6 +133,46 @@ class TestFastPathsAxisSabotage:
                                 "br top\nout:\nhalt"),
                         meta={"regs": [[0] * 7, [5] * 7]})
         self._assert_caught(case, "cluster1.idle")
+
+    @staticmethod
+    def _caught_by_a_first_self_modify_case(cases=5):
+        """One of the seed-0 campaign's first ``cases`` self_modify
+        cases must diverge on the fast-vs-plain axis."""
+        index, tried = 0, 0
+        while tried < cases:
+            case = generate_case(index)
+            index += 1
+            if case.scenario != "self_modify":
+                continue
+            tried += 1
+            divergence = diff_fast_paths_axis(case)
+            if divergence is not None:
+                assert divergence.axis == "fast-vs-plain"
+                return
+        pytest.fail(f"none of the first {cases} self_modify cases caught it")
+
+    def test_store_must_end_the_block_it_made_stale(self, monkeypatch):
+        # blocks compiled without the exit after a store that dropped a
+        # decoded bundle run on into the bundle the store patched
+        from repro.machine import cluster
+        monkeypatch.setattr(cluster, "_dropped_exit",
+                            lambda committed, done: [])
+        monkeypatch.setattr(cluster, "_BLOCK_FACTORIES", {})
+        self._caught_by_a_first_self_modify_case()
+
+    def test_store_must_empty_the_block_table(self, monkeypatch):
+        # a store that drops a decoded bundle but leaves the block table
+        # alone keeps a block of the old code for the next iteration
+        from repro.machine.chip import MAPChip
+        invalidate = MAPChip.invalidate_decoded_word
+
+        def keeps_blocks(self, vaddr):
+            kept = dict(self._blocks)
+            invalidate(self, vaddr)
+            self._blocks.update(kept)
+
+        monkeypatch.setattr(MAPChip, "invalidate_decoded_word", keeps_blocks)
+        self._caught_by_a_first_self_modify_case()
 
     def test_idle_skip_must_charge_the_clusters(self, monkeypatch):
         from repro.machine.chip import MAPChip

@@ -170,7 +170,7 @@ def decode_cache_cleared(monkeypatch):
 
 def no_superblocks(monkeypatch):
     monkeypatch.setattr(Cluster, "run_superblock",
-                        lambda self, thread, start, end: 0)
+                        lambda self, thread, start, end, entry: 0)
 
 
 def no_solo_runs(monkeypatch):
@@ -277,3 +277,58 @@ def test_every_generated_issue_function_counts_as_cluster_exec(counter):
                         assert label not in labels
                         labels.add(label)
     assert len(labels) == 2 * (30 * 12 * 8 + 29 * 2 * 8)
+
+
+def test_every_generated_block_counts_as_cluster_exec(counter, monkeypatch):
+    # a superblock trace runs one function per basic block, generated
+    # from the same templates: every block factory and function that
+    # the four workloads and the LIW sweep build is charged to
+    # cluster.exec under a short label of its own, apart from every
+    # issue function's
+    from repro.core.permissions import Permission
+    from repro.core.pointer import GuardedPointer
+    from tests.machine import test_liw_bundles as liw
+
+    monkeypatch.setattr(cluster_module, "_BLOCK_FACTORIES", {})
+    spec = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+    for workload in spec["workloads"]:
+        counter._rep(workload["name"], SCALE, counted=False)
+    built = len(cluster_module._BLOCK_FACTORIES)
+    assert built
+    data = GuardedPointer.make(Permission.READ_WRITE, liw.DATA_SEGLEN,
+                               liw.DATA).word
+    for int_code in liw.INT_OPS:
+        for mem_code in liw.MEM_OPS:
+            for fp_code in liw.FP_OPS:
+                words = liw.sweep_program(int_code, mem_code, fp_code)
+                state = liw.sweep_state(0)
+                chip = MAPChip(ChipConfig(memory_bytes=128 * 1024,
+                                          cache_bytes=4096))
+                table = chip.page_table
+                table.ensure_mapped(liw.CODE, len(words) * 8)
+                for i, word in enumerate(words):
+                    chip.memory.store_word(table.walk(liw.CODE + i * 8),
+                                           word)
+                table.ensure_mapped(liw.DATA, 1 << liw.DATA_SEGLEN)
+                for offset, word in state["data"].items():
+                    chip.memory.store_word(table.walk(liw.DATA + offset),
+                                           word)
+                chip.spawn(liw._entry(words), regs={8: data,
+                                                    **state["regs"]})
+                chip.run(max_cycles=5_000)
+    assert len(cluster_module._BLOCK_FACTORIES) > built
+    labels = {(code.co_filename, code.co_firstlineno, code.co_name)
+              for factory in cluster_module._FACTORIES.values()
+              for code in (factory.__code__, *[
+                  const for const in factory.__code__.co_consts
+                  if isinstance(const, types.CodeType)])}
+    for factory in cluster_module._BLOCK_FACTORIES.values():
+        (block,) = [const for const in factory.__code__.co_consts
+                    if isinstance(const, types.CodeType)]
+        for code in (factory.__code__, block):
+            label = (code.co_filename, code.co_firstlineno, code.co_name)
+            assert counter.layer_of_code(code) == "cluster.exec"
+            assert counter.layers.layer_of(*label) == "cluster.exec"
+            assert label not in labels
+            labels.add(label)
+            assert len(counter.function_name(code)) < 100

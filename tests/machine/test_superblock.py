@@ -977,6 +977,81 @@ class TestMidSuperblockInvalidation:
         assert out[0].threads[0].regs.read(3).value == \
             out[2].threads[0].regs.read(3).value
 
+    #: where the loop stores a word that grows by one each time over
+    #: its own ``target`` (``movi r5, 7``): before it every iteration
+    #: (``head``), right before it in the same straight-line run
+    #: (``forward``), or before it on every other iteration
+    #: (``alternate``).  r6 sums what the target set, so one stale
+    #: iteration shows at the end
+    PATCHES = {
+        "head": """
+            movi r2, 40
+            lea  r9, r15, {target}
+        loop:
+        target:
+            movi r5, 7
+            add  r6, r6, r5
+            st   r10, r9, 0
+            addi r10, r10, 1
+            subi r2, r2, 1
+            bne  r2, loop
+            halt
+        """,
+        "forward": """
+            movi r2, 40
+            lea  r9, r15, {target}
+        loop:
+            st   r10, r9, 0
+            addi r10, r10, 1
+        target:
+            movi r5, 7
+            add  r6, r6, r5
+            subi r2, r2, 1
+            bne  r2, loop
+            halt
+        """,
+        "alternate": """
+            movi r2, 40
+            lea  r9, r15, {target}
+        loop:
+        target:
+            movi r5, 7
+            add  r6, r6, r5
+            andi r7, r2, 1
+            beq  r7, kept
+            st   r10, r9, 0
+            addi r10, r10, 1
+        kept:
+            subi r2, r2, 1
+            bne  r2, loop
+            halt
+        """,
+    }
+
+    @pytest.mark.parametrize("shape", list(PATCHES))
+    def test_store_of_a_new_word_each_time(self, shape):
+        # a patch that always writes the same word leaves a stale block
+        # holding what memory holds; a growing word does not.  The
+        # forward patch must end the running block after its store, and
+        # the alternate one must find no block left from before it
+        source = self.PATCHES[shape]
+        source = source.format(target=assemble(
+            source.format(target=0)).labels["target"])
+        donor = assemble("movi r5, 100").encode()[0]
+
+        def build(fast_paths):
+            sim = Simulation(memory_bytes=MEMORY, fast_paths=fast_paths)
+            entry = sim.load(source)
+            alias = GuardedPointer.make(Permission.READ_WRITE,
+                                        entry.seglen, entry.address)
+            sim.spawn(entry, regs={15: alias.word, 10: donor})
+            return sim
+
+        sim = assert_three_way(build)
+        assert sim.chip.superblock_blocks > 0
+        thread = sim.threads[0]
+        assert thread.regs.read(5).value != 7
+
     def test_unmap_mid_run(self):
         source = """
             movi r2, 4000
@@ -1058,6 +1133,152 @@ class TestMidSuperblockInvalidation:
                             thread.state.name))
         assert digests[0] == digests[1]
         assert digests[0][2] == 9  # the remote patch took effect
+
+
+class TestBlockDrops:
+    """Every path that drops a decoded bundle empties the block table
+    (PERF.md §3), so no block outlives its bundles.  Each test builds
+    blocks for a loop, rewrites the loop by one path, then finishes
+    through ``run()``, per-cycle ``step()`` and the plain machine
+    (:func:`assert_three_way`): a block left over would run the old
+    code, or skip the fetch that faults on the missing page."""
+
+    LOOP = """
+        movi r2, 60
+    loop:
+        addi r3, r3, {step}
+        subi r2, r2, 1
+        bne  r2, loop
+        halt
+    """
+    OLD, NEW = LOOP.format(step=1), LOOP.format(step=100)
+
+    @staticmethod
+    def hot(fast_paths, source=OLD, cycles=40):
+        """A machine whose one thread has run ``source``'s loop for
+        ``cycles``, with blocks built for it on the fast machine."""
+        sim = Simulation(memory_bytes=MEMORY, fast_paths=fast_paths)
+        entry = sim.load(source)
+        sim.spawn(entry)
+        sim.run(cycles)
+        assert bool(sim.chip._blocks) is fast_paths
+        return sim, entry
+
+    @staticmethod
+    def new_words(entry):
+        """(virtual address, word) of every word of NEW that differs
+        from OLD at ``entry``'s segment."""
+        old = assemble(TestBlockDrops.OLD).encode()
+        return [(entry.address + 8 * i, word)
+                for i, word in enumerate(assemble(TestBlockDrops.NEW)
+                                         .encode()) if word != old[i]]
+
+    def test_unmap(self):
+        def build(fast_paths):
+            sim, entry = self.hot(fast_paths)
+            table = sim.chip.page_table
+            table.unmap(table.page_of(entry.address))
+            # a fresh frame gets the new code below translation, so the
+            # unmap is the one drop
+            table.ensure_mapped(entry.address, 8 * len(
+                assemble(self.NEW).encode()))
+            for i, word in enumerate(assemble(self.NEW).encode()):
+                sim.chip.memory.store_word(
+                    table.walk(entry.address + 8 * i), word)
+            return sim
+
+        assert assert_three_way(build).threads[0].regs.read(3).value > 1000
+
+    def test_swap_out(self):
+        def build(fast_paths):
+            sim, entry = self.hot(fast_paths)
+            swap = SwapManager(sim.kernel, swap_cycles=50)
+            swap.swap_out(sim.chip.page_table.page_of(entry.address))
+            return sim
+
+        sim = assert_three_way(build)
+        # the next fetch faults, and the page comes back in
+        assert sim.threads[0].stats.faults == 1
+
+    def test_loader_reuse(self):
+        def build(fast_paths):
+            sim, entry = self.hot(fast_paths, cycles=1000)
+            assert sim.threads[0].state is ThreadState.HALTED
+            sim.kernel.free_segment(entry)
+            again = sim.load(self.NEW)
+            assert again.word == entry.word  # the same range, the same IPs
+            sim.spawn(again)
+            return sim
+
+        sim = assert_three_way(build)
+        assert sim.threads[1].regs.read(3).value == 6000
+
+    def test_store_runtime_word(self):
+        def build(fast_paths):
+            sim, entry = self.hot(fast_paths)
+            chip = sim.chip
+            for vaddr, word in self.new_words(entry):
+                chip.store_runtime_word(chip.page_table.walk(vaddr), word)
+            return sim
+
+        assert assert_three_way(build).threads[0].regs.read(3).value > 1000
+
+    def test_restore_in_place(self):
+        # the image holds other code at the same addresses: restoring
+        # it over a machine that ran blocks there must not keep them
+        def image(fast_paths):
+            other, _ = self.hot(fast_paths, source=self.NEW, cycles=10)
+            return other.capture_state()
+
+        def build(fast_paths):
+            sim, _ = self.hot(fast_paths)
+            sim.restore_state(image(fast_paths))
+            return sim
+
+        sim = assert_three_way(build)
+        assert sim.threads[0].regs.read(3).value == 6000
+
+    def test_attach_router(self):
+        # a mesh node runs no trace, so its blocks could never run: the
+        # table and the block functions, which bind the local cache
+        # port, go with the decoded bundles
+        sim, _ = self.hot(True)
+        chip = sim.chip
+        assert chip._block_functions
+        chip.attach_router(object())
+        assert not chip._blocks and not chip._block_functions
+
+
+class TestBlockHorizon:
+    LOOP = """
+        movi r2, 100
+    loop:
+        addi r3, r3, 1
+        st   r3, r8, 0
+        xor  r4, r3, r2
+        subi r2, r2, 1
+        bne  r2, loop
+        halt
+    """
+
+    def build(self):
+        sim = Simulation(memory_bytes=MEMORY)
+        sim.spawn(sim.load(self.LOOP),
+                  regs={8: sim.allocate(256, eager=True).word})
+        return sim
+
+    def test_cut_a_block_at_every_bundle(self):
+        # the trace counterpart of TestSoloRuns.test_cut_at_any_horizon:
+        # the loop body is one five-bundle block, and the horizon lands
+        # in front of each of its bundles in turn
+        for horizon in range(61, 67):
+            traced, stepped = self.build(), self.build()
+            traced.run(horizon)
+            stepped.step(horizon)
+            assert traced.now == horizon
+            assert traced.chip.superblock_blocks > 0
+            assert traced.capture_state() == stepped.capture_state(), \
+                horizon
 
 
 class TestSnapshotMidSuperblock:
